@@ -25,7 +25,7 @@ func TestDebugMux(t *testing.T) {
 	site.Instrument(reg, nil)
 	site.SetRecorder(obs.NewRecorder(obs.RecorderConfig{}))
 	tc := obs.SpanContext{TraceID: 0xfeed, SpanID: 0xbeef}
-	if _, err := site.PrepareTraced(tc, 0, "h1", 0, period.Time(period.Hour), 4, period.Hour); err != nil {
+	if _, err := site.PrepareConflictTraced(tc, 0, "h1", 0, period.Time(period.Hour), 4, period.Hour, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := site.Commit(0, "h1"); err != nil {

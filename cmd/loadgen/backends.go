@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"coalloc/internal/calendar"
+	"coalloc/internal/obs"
 	"coalloc/internal/period"
 	"coalloc/internal/wire"
 )
@@ -101,7 +102,7 @@ func backendProbePhase(c *wire.Client, clients int, slotSize int64, dur time.Dur
 			for i := 0; !stop.Load(); i++ {
 				w := base.Add(period.Duration(int64(i%16) * slotSize))
 				t0 := time.Now()
-				if _, err := c.Probe(0, w, w.Add(period.Hour)); err != nil {
+				if _, err := c.ProbeTraced(obs.SpanContext{}, 0, w, w.Add(period.Hour)); err != nil {
 					continue
 				}
 				lat.observe(time.Since(t0))
@@ -143,10 +144,10 @@ func backendWritePhase(c *wire.Client, clients int, dur time.Duration) backendPh
 			for i := 0; !stop.Load(); i++ {
 				id := fmt.Sprintf("race-w%d-%d", k, i)
 				t0 := time.Now()
-				if _, err := c.Prepare(0, id, window, windowEnd, 1, period.Hour); err != nil {
+				if _, err := c.PrepareConflict(obs.SpanContext{}, 0, id, window, windowEnd, 1, period.Hour, 0); err != nil {
 					continue
 				}
-				if err := c.Abort(0, id); err != nil {
+				if err := c.AbortTraced(obs.SpanContext{}, 0, id); err != nil {
 					return
 				}
 				lat.observe(time.Since(t0))

@@ -248,7 +248,7 @@ func runFailoverPhase(phase string, servers int, slotSize int64, slots, clients 
 				if i%8 == 0 {
 					ids = append(ids, alloc.HoldID)
 				} else {
-					f.fc.Abort(0, alloc.HoldID)
+					f.fc.AbortTraced(obs.SpanContext{}, 0, alloc.HoldID)
 				}
 			}
 			atomic.AddInt64(&grants, n)

@@ -159,9 +159,6 @@ type (
 	MultiAllocation = grid.MultiAllocation
 	// SiteHealth reports one site's circuit-breaker state (Broker.Health).
 	SiteHealth = grid.SiteHealth
-	// RangeSite is the optional SiteConn extension for sites answering the
-	// user-facing range search (Broker.RangeAll).
-	RangeSite = grid.RangeConn
 	// SiteRange is one site's answer in a cross-site range search.
 	SiteRange = grid.SiteRange
 )

@@ -9,7 +9,6 @@ import (
 	mrand "math/rand"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"coalloc/internal/obs"
@@ -129,10 +128,9 @@ type BrokerConfig struct {
 	// CacheWatch subscribes the broker to each site's epoch watch stream
 	// (one long-poll loop per site connection): the site pushes epoch bumps
 	// the moment a mutation publishes a new view, so the cache invalidates
-	// proactively instead of discovering staleness at the next miss. Sites
-	// that do not speak the watch protocol degrade silently to the passive
-	// per-reply regime. Requires ProbeCache; off by default. A broker with
-	// watchers running should be Closed when done.
+	// proactively instead of discovering staleness at the next miss.
+	// Requires ProbeCache; off by default. A broker with watchers running
+	// should be Closed when done.
 	CacheWatch bool
 	// WatchPoll bounds one watch long-poll: the server parks the call until
 	// the epoch moves or this duration elapses, whichever is first. Default
@@ -156,9 +154,8 @@ type BrokerConfig struct {
 	// one batched RPC per site at the start of CoAllocate, cutting the
 	// dominant round-trip count from O(ladder × sites) toward O(sites).
 	// Answers land in the availability cache (BatchProbe therefore requires
-	// ProbeCache) and the ladder's per-window probes hit locally. Sites
-	// that do not speak the batch RPC degrade silently to per-window
-	// probes. Off by default.
+	// ProbeCache) and the ladder's per-window probes hit locally. A failed
+	// batch leaves the ladder to per-window probes. Off by default.
 	BatchProbe bool
 	// Registry, if non-nil, receives 2PC outcome counters and window
 	// latencies under the "broker." prefix.
@@ -359,16 +356,12 @@ type Broker struct {
 	rng   *mrand.Rand // jitter source
 
 	// watch subscription lifecycle; see watch.go. watchStop is non-nil iff
-	// watchers were started (cfg.CacheWatch over a watch-capable conn); it
-	// is written only during construction, so watcher goroutines may read
-	// it freely. closeOnce makes Close idempotent and concurrency-safe.
+	// watchers were started (cfg.CacheWatch); it is written only during
+	// construction, so watcher goroutines may read it freely. closeOnce
+	// makes Close idempotent and concurrency-safe.
 	watchStop chan struct{}
 	watchWG   sync.WaitGroup
 	closeOnce sync.Once
-
-	// batchBad[i] is set once site i answered the batched ladder probe with
-	// "unsupported", so the prefetch never asks it again this connection.
-	batchBad []atomic.Bool
 
 	mu       sync.Mutex
 	nextHold int64
@@ -422,7 +415,6 @@ func NewBroker(cfg BrokerConfig, sites ...Conn) (*Broker, error) {
 	}
 	if cfg.ProbeCache {
 		b.cache = newProbeCache(cfg.CacheBucket, cfg.CacheEntries, b.m)
-		b.batchBad = make([]atomic.Bool, len(ordered))
 		// A failover re-target swaps the node behind a site name, so every
 		// cached answer keyed by that name describes the deposed primary.
 		// Hook the drop into the connection itself: manual promotions
@@ -882,7 +874,7 @@ const (
 func (b *Broker) cachedProbe(c Conn, tc obs.SpanContext, now, start, end period.Time) (r ProbeResult, src string, err error) {
 	pc := b.cache
 	if pc == nil {
-		r, err = connProbe(c, tc, now, start, end)
+		r, err = c.ProbeTraced(tc, now, start, end)
 		return r, probeSrcRPC, err
 	}
 	site := c.Name()
@@ -895,7 +887,7 @@ func (b *Broker) cachedProbe(c Conn, tc obs.SpanContext, now, start, end period.
 		<-fl.done
 		return fl.probe, probeSrcCoalesced, fl.err
 	}
-	r, err = connProbe(c, tc, now, start, end)
+	r, err = c.ProbeTraced(tc, now, start, end)
 	if err == nil {
 		if dropped := pc.observe(site, r.Epoch); dropped > 0 {
 			b.event(obs.EventCacheInvalidate,
@@ -911,7 +903,7 @@ func (b *Broker) cachedProbe(c Conn, tc obs.SpanContext, now, start, end period.
 }
 
 // cachedRange is cachedProbe's twin for the per-site range search.
-func (b *Broker) cachedRange(c RangeConn, now, start, end period.Time) (feasible []period.Period, shared bool, err error) {
+func (b *Broker) cachedRange(c Conn, now, start, end period.Time) (feasible []period.Period, shared bool, err error) {
 	pc := b.cache
 	if pc == nil {
 		rr, err := c.RangeView(now, start, end)
@@ -1027,7 +1019,7 @@ func (b *Broker) tryWindow(sp *obs.ActiveSpan, now, start, end period.Time, tota
 			slog.String("site", sh.Conn.Name()),
 			slog.String("hold", holdID),
 			slog.Int("servers", sh.Servers))
-		servers, err := connPrepareEpoch(sh.Conn, pps.Context(), now, holdID, start, end, sh.Servers, b.cfg.Lease, probedEpochs[sh.Conn.Name()])
+		servers, err := sh.Conn.PrepareConflict(pps.Context(), now, holdID, start, end, sh.Servers, b.cfg.Lease, probedEpochs[sh.Conn.Name()])
 		pps.Fail(err)
 		pps.End()
 		// Prepare is a mutation whether it succeeded or not (a timed-out one
@@ -1095,7 +1087,7 @@ func (b *Broker) tryWindow(sp *obs.ActiveSpan, now, start, end period.Time, tota
 					slog.String("site", p.Name()),
 					slog.String("hold", holdID),
 					slog.String("cause", "prepare_failed"))
-				aerr := connAbort(p, as.Context(), now, holdID) // best effort; leases back us up
+				aerr := p.AbortTraced(as.Context(), now, holdID) // best effort; leases back us up
 				as.Fail(aerr)
 				as.End()
 				b.invalidateSiteCache(p)
@@ -1150,7 +1142,7 @@ func (b *Broker) tryWindow(sp *obs.ActiveSpan, now, start, end period.Time, tota
 				backoff *= 2
 			}
 			deliveries++
-			if err = connCommit(c, cs.Context(), now, holdID); err == nil {
+			if err = c.CommitTraced(cs.Context(), now, holdID); err == nil {
 				break
 			}
 			b.siteFailed(c, err)
@@ -1183,7 +1175,7 @@ func (b *Broker) tryWindow(sp *obs.ActiveSpan, now, start, end period.Time, tota
 				slog.String("site", c.Name()),
 				slog.String("hold", holdID),
 				slog.String("cause", "compensation"))
-			err := connAbort(c, as.Context(), now, holdID)
+			err := c.AbortTraced(as.Context(), now, holdID)
 			as.Fail(err)
 			as.End()
 			if err == nil {
@@ -1278,8 +1270,7 @@ func (b *Broker) ProbeAll(now, start, end period.Time) []Avail {
 
 // SiteRange is one site's answer in a cross-site range search: the idle
 // periods feasible for the window, or the error that kept the site from
-// answering (including ErrCircuitOpen and "range search unsupported" for
-// connections that only implement Conn).
+// answering (including ErrCircuitOpen).
 type SiteRange struct {
 	Conn     Conn
 	Feasible []period.Period
@@ -1295,16 +1286,11 @@ func (b *Broker) RangeAll(now, start, end period.Time) []SiteRange {
 	out := make([]SiteRange, len(b.sites))
 	b.fanOut(func(i int) {
 		c := b.sites[i]
-		rc, ok := c.(RangeConn)
-		if !ok {
-			out[i] = SiteRange{Conn: c, Err: fmt.Errorf("grid: site %s does not support range search", c.Name())}
-			return
-		}
 		if err := b.breakerOpenFor(c); err != nil {
 			out[i] = SiteRange{Conn: c, Err: err}
 			return
 		}
-		feasible, shared, err := b.cachedRange(rc, now, start, end)
+		feasible, shared, err := b.cachedRange(c, now, start, end)
 		if err != nil {
 			out[i] = SiteRange{Conn: c, Err: err}
 			if b.m != nil {
@@ -1370,7 +1356,7 @@ func (b *Broker) Release(now period.Time, alloc MultiAllocation) error {
 			slog.String("site", sh.Site),
 			slog.String("hold", alloc.HoldID),
 			slog.String("cause", "release"))
-		err := connAbort(c, as.Context(), now, alloc.HoldID)
+		err := c.AbortTraced(as.Context(), now, alloc.HoldID)
 		as.Fail(err)
 		as.End()
 		b.invalidateSiteCache(c)

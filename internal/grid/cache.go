@@ -309,7 +309,7 @@ func (pc *probeCache) observeEvent(site string, epoch, salt uint64) int {
 // discarded too — same epoch or not.
 func (pc *probeCache) store(site string, kind uint8, start, end period.Time, epoch uint64, siteNow period.Time, probe ProbeResult, feasible []period.Period, gen uint64) {
 	if epoch == 0 {
-		return // pre-epoch site: no invalidation signal, never cache
+		return // no invalidation signal: never cache (published epochs are never zero)
 	}
 	pc.mu.Lock()
 	defer pc.mu.Unlock()

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"coalloc/internal/obs"
 	"coalloc/internal/period"
 )
 
@@ -17,7 +18,7 @@ type countingConn struct {
 	gate   chan struct{} // when non-nil, probes block here until closed
 }
 
-func (c *countingConn) Probe(now, start, end period.Time) (ProbeResult, error) {
+func (c *countingConn) ProbeTraced(tc obs.SpanContext, now, start, end period.Time) (ProbeResult, error) {
 	c.mu.Lock()
 	c.probes++
 	gate := c.gate
@@ -25,7 +26,7 @@ func (c *countingConn) Probe(now, start, end period.Time) (ProbeResult, error) {
 	if gate != nil {
 		<-gate
 	}
-	return c.Conn.Probe(now, start, end)
+	return c.Conn.ProbeTraced(tc, now, start, end)
 }
 
 func (c *countingConn) probeCount() int {
@@ -34,15 +35,14 @@ func (c *countingConn) probeCount() int {
 	return c.probes
 }
 
-// stripEpochConn erases the epoch metadata from replies, emulating a site
-// running a binary that predates the epoch field: gob zeroes the missing
-// fields, so the broker sees Epoch == 0.
+// stripEpochConn erases the epoch metadata from replies, so the broker sees
+// Epoch == 0: an answer with no invalidation signal.
 type stripEpochConn struct {
 	Conn
 }
 
-func (c *stripEpochConn) Probe(now, start, end period.Time) (ProbeResult, error) {
-	r, err := c.Conn.Probe(now, start, end)
+func (c *stripEpochConn) ProbeTraced(tc obs.SpanContext, now, start, end period.Time) (ProbeResult, error) {
+	r, err := c.Conn.ProbeTraced(tc, now, start, end)
 	r.Epoch, r.SiteNow = 0, 0
 	return r, err
 }
@@ -209,9 +209,9 @@ func TestCacheSingleFlightCoalescing(t *testing.T) {
 	}
 }
 
-// TestCacheEpochlessReplyNotCached pins the interop rule: replies with
-// Epoch == 0 (an old site binary) must never populate the cache — with no
-// invalidation signal a cached answer could outlive the state it describes.
+// TestCacheEpochlessReplyNotCached pins the never-cache guard: replies with
+// Epoch == 0 must never populate the cache — with no invalidation signal a
+// cached answer could outlive the state it describes.
 func TestCacheEpochlessReplyNotCached(t *testing.T) {
 	sc := &stripEpochConn{Conn: LocalConn{Site: mustSite(t, "old", 4)}}
 	cc := &countingConn{Conn: sc}

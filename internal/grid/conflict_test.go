@@ -29,7 +29,7 @@ func TestSiteConflictClassification(t *testing.T) {
 	lease := 10 * period.Minute
 
 	// Learn the epoch the way a broker does: through a probe.
-	_, probed, _ := s.ProbeView(0, start, end)
+	_, probed, _ := s.ProbeViewTraced(obs.SpanContext{}, 0, start, end)
 	if probed == 0 {
 		t.Fatal("site reports no epoch; conflict classification cannot engage")
 	}
@@ -68,8 +68,8 @@ func TestSiteConflictClassification(t *testing.T) {
 		t.Fatalf("current-epoch refusal classified as conflict: %v", err)
 	}
 
-	// No probed epoch (an old broker) degrades to the plain error too.
-	if _, err = s.PrepareTraced(obs.SpanContext{}, 0, "mine3", start, end, 4, lease); err == nil || errors.Is(err, ErrConflict) {
+	// No probed epoch (a caller that did not probe) stays a plain error too.
+	if _, err = s.Prepare(0, "mine3", start, end, 4, lease); err == nil || errors.Is(err, ErrConflict) {
 		t.Fatalf("epochless refusal classified as conflict: %v", err)
 	}
 

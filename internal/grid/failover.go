@@ -167,107 +167,51 @@ func (f *FailoverConn) Name() string { return f.name }
 // Servers implements Conn.
 func (f *FailoverConn) Servers() (int, error) { return f.Target().Servers() }
 
-// Probe implements Conn.
-func (f *FailoverConn) Probe(now, start, end period.Time) (ProbeResult, error) {
-	return f.Target().Probe(now, start, end)
-}
-
-// Prepare implements Conn.
-func (f *FailoverConn) Prepare(now period.Time, holdID string, start, end period.Time, servers int, lease period.Duration) ([]int, error) {
-	return f.Target().Prepare(now, holdID, start, end, servers, lease)
-}
-
-// Commit implements Conn.
-func (f *FailoverConn) Commit(now period.Time, holdID string) error {
-	return f.Target().Commit(now, holdID)
-}
-
-// Abort implements Conn.
-func (f *FailoverConn) Abort(now period.Time, holdID string) error {
-	return f.Target().Abort(now, holdID)
-}
-
-// RangeView implements RangeConn, falling back to an error when the
-// active target cannot answer range searches.
-func (f *FailoverConn) RangeView(now, start, end period.Time) (RangeResult, error) {
-	if rc, ok := f.Target().(RangeConn); ok {
-		return rc.RangeView(now, start, end)
-	}
-	return RangeResult{}, fmt.Errorf("grid: site %s does not support range search", f.name)
-}
-
-// ProbeTraced implements TracedConn.
+// ProbeTraced implements Conn.
 func (f *FailoverConn) ProbeTraced(tc obs.SpanContext, now, start, end period.Time) (ProbeResult, error) {
-	if t, ok := f.Target().(TracedConn); ok {
-		return t.ProbeTraced(tc, now, start, end)
-	}
-	return f.Target().Probe(now, start, end)
+	return f.Target().ProbeTraced(tc, now, start, end)
 }
 
-// PrepareTraced implements TracedConn.
-func (f *FailoverConn) PrepareTraced(tc obs.SpanContext, now period.Time, holdID string, start, end period.Time, servers int, lease period.Duration) ([]int, error) {
-	if t, ok := f.Target().(TracedConn); ok {
-		return t.PrepareTraced(tc, now, holdID, start, end, servers, lease)
-	}
-	return f.Target().Prepare(now, holdID, start, end, servers, lease)
+// ProbeBatch implements Conn.
+func (f *FailoverConn) ProbeBatch(now period.Time, windows []Window) ([]ProbeResult, error) {
+	return f.Target().ProbeBatch(now, windows)
 }
 
-// PrepareConflict implements ConflictPrepareConn by delegating to the
-// active target; a target without the conflict path degrades to the
-// unclassified prepare.
+// RangeView implements Conn.
+func (f *FailoverConn) RangeView(now, start, end period.Time) (RangeResult, error) {
+	return f.Target().RangeView(now, start, end)
+}
+
+// PrepareConflict implements Conn.
 func (f *FailoverConn) PrepareConflict(tc obs.SpanContext, now period.Time, holdID string, start, end period.Time, servers int, lease period.Duration, probedEpoch uint64) ([]int, error) {
-	return connPrepareEpoch(f.Target(), tc, now, holdID, start, end, servers, lease, probedEpoch)
+	return f.Target().PrepareConflict(tc, now, holdID, start, end, servers, lease, probedEpoch)
 }
 
-// CommitTraced implements TracedConn.
+// CommitTraced implements Conn.
 func (f *FailoverConn) CommitTraced(tc obs.SpanContext, now period.Time, holdID string) error {
-	if t, ok := f.Target().(TracedConn); ok {
-		return t.CommitTraced(tc, now, holdID)
-	}
-	return f.Target().Commit(now, holdID)
+	return f.Target().CommitTraced(tc, now, holdID)
 }
 
-// AbortTraced implements TracedConn.
+// AbortTraced implements Conn.
 func (f *FailoverConn) AbortTraced(tc obs.SpanContext, now period.Time, holdID string) error {
-	if t, ok := f.Target().(TracedConn); ok {
-		return t.AbortTraced(tc, now, holdID)
-	}
-	return f.Target().Abort(now, holdID)
+	return f.Target().AbortTraced(tc, now, holdID)
 }
 
-// WatchEpoch implements WatchConn by delegating to the active target: each
-// long poll re-resolves the target, so a watcher loop re-subscribes to the
+// WatchEpoch implements Conn by delegating to the active target: each long
+// poll re-resolves the target, so a watcher loop re-subscribes to the
 // promoted standby on its next poll after a failover — and the poll that
 // was parked on the deposed primary errors out as a stream gap, which
 // drops the site's entries conservatively (the broker's retarget hook has
 // usually done so already).
 func (f *FailoverConn) WatchEpoch(after uint64, maxWait time.Duration) (EpochEvent, bool, error) {
-	if wc, ok := f.Target().(WatchConn); ok {
-		return wc.WatchEpoch(after, maxWait)
-	}
-	return EpochEvent{}, false, fmt.Errorf("site %s: %w", f.name, ErrWatchUnsupported)
+	return f.Target().WatchEpoch(after, maxWait)
 }
 
-// ProbeBatch implements BatchProbeConn by delegating to the active target.
-func (f *FailoverConn) ProbeBatch(now period.Time, windows []Window) ([]ProbeResult, error) {
-	if bc, ok := f.Target().(BatchProbeConn); ok {
-		return bc.ProbeBatch(now, windows)
-	}
-	return nil, fmt.Errorf("site %s: %w", f.name, ErrProbeBatchUnsupported)
-}
-
-var (
-	_ Conn                = (*FailoverConn)(nil)
-	_ RangeConn           = (*FailoverConn)(nil)
-	_ TracedConn          = (*FailoverConn)(nil)
-	_ WatchConn           = (*FailoverConn)(nil)
-	_ BatchProbeConn      = (*FailoverConn)(nil)
-	_ ConflictPrepareConn = (*FailoverConn)(nil)
-)
+var _ Conn = (*FailoverConn)(nil)
 
 // FailoverCapable is how the broker discovers a connection it can fail
-// over; *FailoverConn implements it. Discovered by type assertion like
-// RangeConn, so brokers over plain connections are unaffected.
+// over; *FailoverConn implements it. Discovered by type assertion, so
+// brokers over plain connections are unaffected.
 type FailoverCapable interface {
 	Failover(cause string) (string, error)
 }

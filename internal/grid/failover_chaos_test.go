@@ -310,7 +310,7 @@ func TestChaosFailover(t *testing.T) {
 	// And a broker that heals its network path to the zombie still cannot
 	// use it: in-flight 2PC traffic is refused.
 	c.proxy.Heal()
-	if _, err := c.primaryCli.Prepare(0, "late-2pc", 0, period.Time(30*period.Minute), 1, period.Hour); !grid.IsFencedErr(err) {
+	if _, err := c.primaryCli.PrepareConflict(obs.SpanContext{}, 0, "late-2pc", 0, period.Time(30*period.Minute), 1, period.Hour, 0); !grid.IsFencedErr(err) {
 		t.Fatalf("zombie accepted 2PC traffic after fencing: %v", err)
 	}
 

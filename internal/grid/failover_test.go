@@ -4,6 +4,7 @@ import (
 	"errors"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"coalloc/internal/obs"
 	"coalloc/internal/period"
@@ -267,17 +268,27 @@ type swapConn struct {
 	target *atomic.Pointer[Site]
 }
 
-func (s swapConn) Name() string          { return s.target.Load().Name() }
-func (s swapConn) Servers() (int, error) { return s.target.Load().Servers(), nil }
-func (s swapConn) Probe(now, start, end period.Time) (ProbeResult, error) {
-	return LocalConn{Site: s.target.Load()}.Probe(now, start, end)
+func (s swapConn) local() LocalConn      { return LocalConn{Site: s.target.Load()} }
+func (s swapConn) Name() string          { return s.local().Name() }
+func (s swapConn) Servers() (int, error) { return s.local().Servers() }
+func (s swapConn) ProbeTraced(tc obs.SpanContext, now, start, end period.Time) (ProbeResult, error) {
+	return s.local().ProbeTraced(tc, now, start, end)
 }
-func (s swapConn) Prepare(now period.Time, holdID string, start, end period.Time, servers int, lease period.Duration) ([]int, error) {
-	return LocalConn{Site: s.target.Load()}.Prepare(now, holdID, start, end, servers, lease)
+func (s swapConn) ProbeBatch(now period.Time, windows []Window) ([]ProbeResult, error) {
+	return s.local().ProbeBatch(now, windows)
 }
-func (s swapConn) Commit(now period.Time, holdID string) error {
-	return LocalConn{Site: s.target.Load()}.Commit(now, holdID)
+func (s swapConn) RangeView(now, start, end period.Time) (RangeResult, error) {
+	return s.local().RangeView(now, start, end)
 }
-func (s swapConn) Abort(now period.Time, holdID string) error {
-	return LocalConn{Site: s.target.Load()}.Abort(now, holdID)
+func (s swapConn) PrepareConflict(tc obs.SpanContext, now period.Time, holdID string, start, end period.Time, servers int, lease period.Duration, probedEpoch uint64) ([]int, error) {
+	return s.local().PrepareConflict(tc, now, holdID, start, end, servers, lease, probedEpoch)
+}
+func (s swapConn) CommitTraced(tc obs.SpanContext, now period.Time, holdID string) error {
+	return s.local().CommitTraced(tc, now, holdID)
+}
+func (s swapConn) AbortTraced(tc obs.SpanContext, now period.Time, holdID string) error {
+	return s.local().AbortTraced(tc, now, holdID)
+}
+func (s swapConn) WatchEpoch(after uint64, maxWait time.Duration) (EpochEvent, bool, error) {
+	return s.local().WatchEpoch(after, maxWait)
 }

@@ -37,9 +37,7 @@ type SiteStatus struct {
 	Utilization float64 // committed fraction of the active window
 
 	// Replication is the site's high-availability state; the zero value
-	// (Role == "") means the site does not replicate. Like the epoch
-	// fields in the wire replies, it rides gob's unknown-field tolerance:
-	// an old client simply does not decode it.
+	// (Role == "") means the site does not replicate.
 	Replication ReplicationStatus
 }
 

@@ -115,7 +115,7 @@ type Site struct {
 	tracer         obs.Tracer // optional; see Instrument
 
 	// recorder is the site's flight recorder; see SetRecorder. Requests
-	// arriving with trace context (TracedConn, wire trace fields) record
+	// arriving with trace context (Conn's tc, wire trace fields) record
 	// their site-side spans — view lookup, queue wait, WAL flush — into it
 	// as fragments of the caller's trace. Atomic so it can be attached to a
 	// serving site without a lock on the read path.
@@ -447,22 +447,19 @@ func (s *Site) Probe(now, start, end period.Time) int {
 	return n
 }
 
-// ProbeView is Probe extended with the metadata a caching broker needs: the
-// epoch the answer was computed at and the site clock it is valid through.
-// An answer may be reused for any later probe whose now does not exceed
-// siteNow, for as long as the site keeps reporting the same epoch; the first
-// mutation (or slot rotation) bumps the epoch and retires every answer
-// computed before it. Served lock-free from the published view whenever now
-// does not move the clock; a clock-moving probe rides the write queue and
-// reports the post-advance epoch.
-func (s *Site) ProbeView(now, start, end period.Time) (n int, epoch uint64, siteNow period.Time) {
-	return s.ProbeViewTraced(obs.SpanContext{}, now, start, end)
-}
-
-// ProbeViewTraced is ProbeView recording the site's side of the work as a
-// fragment of the caller's trace: a lock-free answer is a single
-// view-lookup span stamped with the answering epoch, a clock-moving
-// answer records its admission-queue ride.
+// ProbeViewTraced is Probe extended with the metadata a caching broker
+// needs: the epoch the answer was computed at and the site clock it is
+// valid through. An answer may be reused for any later probe whose now does
+// not exceed siteNow, for as long as the site keeps reporting the same
+// epoch; the first mutation (or slot rotation) bumps the epoch and retires
+// every answer computed before it. Served lock-free from the published view
+// whenever now does not move the clock; a clock-moving probe rides the
+// write queue and reports the post-advance epoch.
+//
+// With a valid tc the site's side of the work is recorded as a fragment of
+// the caller's trace: a lock-free answer is a single view-lookup span
+// stamped with the answering epoch, a clock-moving answer records its
+// admission-queue ride. A zero tc records nothing.
 func (s *Site) ProbeViewTraced(tc obs.SpanContext, now, start, end period.Time) (n int, epoch uint64, siteNow period.Time) {
 	if v := s.view.Load(); v != nil && (now <= v.cal.Now() || s.readsFrozen()) {
 		// The view lookup is the whole request here, so the fragment is one
@@ -490,14 +487,8 @@ func (s *Site) ProbeViewTraced(tc obs.SpanContext, now, start, end period.Time) 
 	return n, epoch, siteNow
 }
 
-// RangeSearchView is RangeSearch extended with the same cacheability
-// metadata as ProbeView.
-func (s *Site) RangeSearchView(now, start, end period.Time) (feasible []period.Period, epoch uint64, siteNow period.Time) {
-	return s.RangeSearchViewTraced(obs.SpanContext{}, now, start, end)
-}
-
-// RangeSearchViewTraced is RangeSearchView as a fragment of the caller's
-// trace, mirroring ProbeViewTraced.
+// RangeSearchViewTraced is RangeSearch extended with the same cacheability
+// metadata and trace fragment as ProbeViewTraced.
 func (s *Site) RangeSearchViewTraced(tc obs.SpanContext, now, start, end period.Time) (feasible []period.Period, epoch uint64, siteNow period.Time) {
 	if v := s.view.Load(); v != nil && (now <= v.cal.Now() || s.readsFrozen()) {
 		if rec := s.recorder.Load(); rec != nil && tc.Valid() {
@@ -554,21 +545,16 @@ func (s *Site) RangeSearch(now, start, end period.Time) []period.Period {
 // committed in the site calendar but remain revocable until Commit or lease
 // expiry.
 func (s *Site) Prepare(now period.Time, holdID string, start, end period.Time, servers int, lease period.Duration) ([]int, error) {
-	return s.PrepareTraced(obs.SpanContext{}, now, holdID, start, end, servers, lease)
+	return s.PrepareConflictTraced(obs.SpanContext{}, now, holdID, start, end, servers, lease, 0)
 }
 
-// PrepareTraced is Prepare recording the site's side — queue wait, journal
-// flush — as a fragment of the caller's trace, parented under the broker's
-// prepare span.
-func (s *Site) PrepareTraced(tc obs.SpanContext, now period.Time, holdID string, start, end period.Time, servers int, lease period.Duration) ([]int, error) {
-	return s.PrepareConflictTraced(tc, now, holdID, start, end, servers, lease, 0)
-}
-
-// PrepareConflictTraced is PrepareTraced for callers that probed first:
-// probedEpoch is the site epoch their availability answer was computed at
-// (zero when unknown, degrading to plain PrepareTraced). When the scheduler
-// refuses the window for capacity and the site's epoch has moved past
-// probedEpoch, the refusal is classified as a *ConflictError — the servers
+// PrepareConflictTraced is Prepare recording the site's side — queue wait,
+// journal flush — as a fragment of the caller's trace (parented under the
+// broker's prepare span; a zero tc records nothing), for callers that may
+// have probed first: probedEpoch is the site epoch their availability
+// answer was computed at (zero when unknown, which disables the conflict
+// classification). When the scheduler refuses the window for capacity and
+// the site's epoch has moved past probedEpoch, the refusal is classified as a *ConflictError — the servers
 // were (as far as the caller knew) free at probe time and were taken since,
 // so the same window may succeed with a different split. A refusal at an
 // unmoved epoch means the probe itself overstated what this exact window

@@ -12,10 +12,9 @@ type Avail struct {
 	Conn      Conn
 	Available int
 	Capacity  int
-	// Epoch is the site epoch the answer was computed at (zero when the site
-	// does not report epochs). The broker threads it into each share's
-	// prepare so the site can classify a refusal as a conflict — see
-	// ConflictPrepareConn.
+	// Epoch is the site epoch the answer was computed at (zero when the
+	// probe failed). The broker threads it into each share's prepare so the
+	// site can classify a refusal as a conflict — see Conn.PrepareConflict.
 	Epoch uint64
 	Err   error
 }

@@ -19,6 +19,7 @@ import (
 
 	"coalloc/internal/calendar"
 	"coalloc/internal/core"
+	"coalloc/internal/obs"
 	"coalloc/internal/period"
 	"coalloc/internal/wal"
 )
@@ -128,25 +129,25 @@ type failingConn struct {
 	failProbe   bool
 }
 
-func (f *failingConn) Probe(now, start, end period.Time) (ProbeResult, error) {
+func (f *failingConn) ProbeTraced(tc obs.SpanContext, now, start, end period.Time) (ProbeResult, error) {
 	if f.failProbe {
 		return ProbeResult{}, errors.New("injected probe failure")
 	}
-	return f.Conn.Probe(now, start, end)
+	return f.Conn.ProbeTraced(tc, now, start, end)
 }
 
-func (f *failingConn) Prepare(now period.Time, holdID string, start, end period.Time, servers int, lease period.Duration) ([]int, error) {
+func (f *failingConn) PrepareConflict(tc obs.SpanContext, now period.Time, holdID string, start, end period.Time, servers int, lease period.Duration, probedEpoch uint64) ([]int, error) {
 	if f.failPrepare {
 		return nil, errors.New("injected prepare failure")
 	}
-	return f.Conn.Prepare(now, holdID, start, end, servers, lease)
+	return f.Conn.PrepareConflict(tc, now, holdID, start, end, servers, lease, probedEpoch)
 }
 
-func (f *failingConn) Commit(now period.Time, holdID string) error {
+func (f *failingConn) CommitTraced(tc obs.SpanContext, now period.Time, holdID string) error {
 	if f.failCommit {
 		return errors.New("injected commit failure")
 	}
-	return f.Conn.Commit(now, holdID)
+	return f.Conn.CommitTraced(tc, now, holdID)
 }
 
 // chaosConn wraps a Conn with programmable per-phase faults and call
@@ -174,60 +175,55 @@ func (c *chaosConn) inject() error {
 	return errors.New("injected fault")
 }
 
-func (c *chaosConn) Probe(now, start, end period.Time) (ProbeResult, error) {
+func (c *chaosConn) ProbeTraced(tc obs.SpanContext, now, start, end period.Time) (ProbeResult, error) {
 	c.probeCalls.Add(1)
 	if c.failProbes.Load() > 0 {
 		c.failProbes.Add(-1)
 		return ProbeResult{}, c.inject()
 	}
-	return c.Conn.Probe(now, start, end)
+	return c.Conn.ProbeTraced(tc, now, start, end)
 }
 
-func (c *chaosConn) Prepare(now period.Time, holdID string, start, end period.Time, servers int, lease period.Duration) ([]int, error) {
+func (c *chaosConn) PrepareConflict(tc obs.SpanContext, now period.Time, holdID string, start, end period.Time, servers int, lease period.Duration, probedEpoch uint64) ([]int, error) {
 	c.prepareCalls.Add(1)
 	if c.failPrepares.Load() > 0 {
 		c.failPrepares.Add(-1)
 		if c.prepareLands.Load() {
 			// The request reached the site; only the reply was lost.
-			_, _ = c.Conn.Prepare(now, holdID, start, end, servers, lease)
+			_, _ = c.Conn.PrepareConflict(tc, now, holdID, start, end, servers, lease, probedEpoch)
 		}
 		return nil, c.inject()
 	}
-	return c.Conn.Prepare(now, holdID, start, end, servers, lease)
+	return c.Conn.PrepareConflict(tc, now, holdID, start, end, servers, lease, probedEpoch)
 }
 
-func (c *chaosConn) Abort(now period.Time, holdID string) error {
+func (c *chaosConn) AbortTraced(tc obs.SpanContext, now period.Time, holdID string) error {
 	c.abortCalls.Add(1)
 	if c.failAborts.Load() > 0 {
 		c.failAborts.Add(-1)
 		return c.inject()
 	}
-	return c.Conn.Abort(now, holdID)
+	return c.Conn.AbortTraced(tc, now, holdID)
 }
 
-func (c *chaosConn) Commit(now period.Time, holdID string) error {
+func (c *chaosConn) CommitTraced(tc obs.SpanContext, now period.Time, holdID string) error {
 	c.commitCalls.Add(1)
 	if c.failCommits.Load() > 0 {
 		c.failCommits.Add(-1)
 		return c.inject()
 	}
-	return c.Conn.Commit(now, holdID)
+	return c.Conn.CommitTraced(tc, now, holdID)
 }
 
-// RangeView forwards the optional range-search capability when the wrapped
-// conn has it, so a chaos-wrapped site still answers RangeAll. Probe faults
-// apply to range probes too — both are the broker's availability path.
+// RangeView applies probe faults to range searches too — both are the
+// broker's availability path.
 func (c *chaosConn) RangeView(now, start, end period.Time) (RangeResult, error) {
-	rc, ok := c.Conn.(RangeConn)
-	if !ok {
-		return RangeResult{}, errors.New("chaosConn: wrapped conn has no range search")
-	}
 	c.probeCalls.Add(1)
 	if c.failProbes.Load() > 0 {
 		c.failProbes.Add(-1)
 		return RangeResult{}, c.inject()
 	}
-	return rc.RangeView(now, start, end)
+	return c.Conn.RangeView(now, start, end)
 }
 
 // testClock is an injectable, mutable broker clock.

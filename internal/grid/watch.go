@@ -20,7 +20,6 @@ package grid
 // re-baselining the stream.
 
 import (
-	"errors"
 	"log/slog"
 	"time"
 
@@ -41,63 +40,26 @@ type Window struct {
 	Start, End period.Time
 }
 
-// ErrWatchUnsupported reports that the far side predates the watch
-// protocol (or suppresses it): the broker stays on passive per-reply
-// invalidation for that site.
-var ErrWatchUnsupported = errors.New("grid: epoch watch unsupported by site")
-
-// ErrProbeBatchUnsupported reports that the far side predates the batched
-// ladder probe: the broker falls back to per-window probes.
-var ErrProbeBatchUnsupported = errors.New("grid: batched probe unsupported by site")
-
-// WatchConn is the optional connection surface for the epoch watch. A
-// conforming implementation parks the call until the site's epoch differs
-// from after or maxWait elapses; changed reports which happened. A site
-// that cannot serve the watch at all returns ErrWatchUnsupported (wrapped
-// or verbatim).
-type WatchConn interface {
-	Conn
-	WatchEpoch(after uint64, maxWait time.Duration) (ev EpochEvent, changed bool, err error)
-}
-
-// BatchProbeConn is the optional connection surface for the batched ladder
-// probe: one round trip answers every candidate window, each result tagged
-// with the epoch and site clock it was computed under, exactly as the
-// per-window probe would have been.
-type BatchProbeConn interface {
-	Conn
-	ProbeBatch(now period.Time, windows []Window) ([]ProbeResult, error)
-}
-
 // retargetNotifier is the optional connection surface a broker uses to
 // hear about failover re-targets; FailoverConn implements it.
 type retargetNotifier interface {
 	OnRetarget(func(target string))
 }
 
-// startWatchers spawns one watch loop per watch-capable site connection.
-// Called from NewBroker under cfg.CacheWatch; connections that do not
-// implement WatchConn are skipped (they stay on passive invalidation).
+// startWatchers spawns one watch loop per site connection. Called from
+// NewBroker under cfg.CacheWatch.
 func (b *Broker) startWatchers() {
+	b.watchStop = make(chan struct{})
 	for _, c := range b.sites {
-		wc, ok := c.(WatchConn)
-		if !ok {
-			continue
-		}
-		if b.watchStop == nil {
-			b.watchStop = make(chan struct{})
-		}
 		b.watchWG.Add(1)
-		go b.runWatch(c, wc)
+		go b.runWatch(c)
 	}
 }
 
 // runWatch is one site's subscription loop. It long-polls WatchEpoch,
 // folds pushed events into the cache, and on any stream error drops the
-// site's entries conservatively before re-subscribing with backoff. A site
-// that answers "watch unsupported" ends the loop: the other side is an old
-// binary and will stay one.
-func (b *Broker) runWatch(c Conn, wc WatchConn) {
+// site's entries conservatively before re-subscribing with backoff.
+func (b *Broker) runWatch(c Conn) {
 	defer b.watchWG.Done()
 	site := c.Name()
 	var (
@@ -111,17 +73,8 @@ func (b *Broker) runWatch(c Conn, wc WatchConn) {
 			return
 		default:
 		}
-		ev, changed, err := wc.WatchEpoch(last.Epoch, b.cfg.WatchPoll)
+		ev, changed, err := c.WatchEpoch(last.Epoch, b.cfg.WatchPoll)
 		if err != nil {
-			if errors.Is(err, ErrWatchUnsupported) {
-				// The far side predates the watch protocol. If a stream had
-				// been live (a failover landed on an old-binary standby),
-				// close it out with one conservative drop.
-				if !broken && last.Epoch != 0 {
-					b.watchGap(site, err)
-				}
-				return
-			}
 			if !broken {
 				broken = true
 				b.watchGap(site, err)
@@ -173,10 +126,9 @@ const maxPrefetchWindows = 64
 // prefetchLadder fetches the whole Δt retry ladder's candidate windows in
 // one batched RPC per site, storing every answer in the availability cache
 // so the ladder's per-window probe rounds hit locally: the per-request
-// round-trip count drops from O(ladder × sites) toward O(sites). Sites
-// that do not implement the batch RPC (or answered it "unsupported" once)
-// are left to the per-window path, which also owns all breaker accounting
-// — a failed prefetch is never worse than no prefetch.
+// round-trip count drops from O(ladder × sites) toward O(sites). The
+// per-window path owns all breaker accounting — a failed prefetch is never
+// worse than no prefetch.
 func (b *Broker) prefetchLadder(_ *obs.ActiveSpan, now, start period.Time, dur period.Duration) {
 	pc := b.cache
 	attempts := b.cfg.MaxAttempts
@@ -185,16 +137,6 @@ func (b *Broker) prefetchLadder(_ *obs.ActiveSpan, now, start period.Time, dur p
 	}
 	b.fanOut(func(i int) {
 		c := b.sites[i]
-		if i < len(b.batchBad) && b.batchBad[i].Load() {
-			return
-		}
-		bc, ok := c.(BatchProbeConn)
-		if !ok {
-			if i < len(b.batchBad) {
-				b.batchBad[i].Store(true)
-			}
-			return
-		}
 		if b.breakerOpenFor(c) != nil {
 			return
 		}
@@ -209,11 +151,8 @@ func (b *Broker) prefetchLadder(_ *obs.ActiveSpan, now, start period.Time, dur p
 			return // nothing to amortize: a lone window costs one RPC either way
 		}
 		gen := pc.genOf(site)
-		results, err := bc.ProbeBatch(now, wins)
+		results, err := c.ProbeBatch(now, wins)
 		if err != nil {
-			if errors.Is(err, ErrProbeBatchUnsupported) && i < len(b.batchBad) {
-				b.batchBad[i].Store(true)
-			}
 			return
 		}
 		pc.batchProbes.Add(1)

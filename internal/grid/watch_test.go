@@ -246,8 +246,8 @@ func (p *parkingConn) arm() {
 	p.mu.Unlock()
 }
 
-func (p *parkingConn) Probe(now, start, end period.Time) (ProbeResult, error) {
-	r, err := p.Conn.Probe(now, start, end)
+func (p *parkingConn) ProbeTraced(tc obs.SpanContext, now, start, end period.Time) (ProbeResult, error) {
+	r, err := p.Conn.ProbeTraced(tc, now, start, end)
 	p.mu.Lock()
 	armed := p.armed
 	p.armed = false
@@ -436,7 +436,7 @@ func (f *flakyWatchConn) WatchEpoch(after uint64, maxWait time.Duration) (EpochE
 		time.Sleep(time.Millisecond)
 		return EpochEvent{}, false, errors.New("injected watch failure")
 	}
-	return f.Conn.(WatchConn).WatchEpoch(after, maxWait)
+	return f.Conn.WatchEpoch(after, maxWait)
 }
 
 // TestWatchGapDropsEntries pins the gap semantics: any stream error drops
@@ -487,11 +487,6 @@ type batchCountConn struct {
 	batches atomic.Int64
 }
 
-func (c *batchCountConn) Probe(now, start, end period.Time) (ProbeResult, error) {
-	c.probes.Add(1)
-	return c.LocalConn.Probe(now, start, end)
-}
-
 func (c *batchCountConn) ProbeTraced(tc obs.SpanContext, now, start, end period.Time) (ProbeResult, error) {
 	c.probes.Add(1)
 	return c.LocalConn.ProbeTraced(tc, now, start, end)
@@ -540,68 +535,5 @@ func TestBatchProbePrefetchCutsRoundTrips(t *testing.T) {
 	cs := br.CacheStats()
 	if cs.BatchProbes != 1 || cs.Hits < 3 {
 		t.Fatalf("cache stats after batched ladder = %+v", cs)
-	}
-}
-
-// TestBatchProbeUnsupportedFallsBack pins the degradation: a site that
-// answers the batch RPC "unsupported" is probed per window, once, and never
-// asked again.
-func TestBatchProbeUnsupportedFallsBack(t *testing.T) {
-	site := mustSite(t, "a", 4)
-	bc := &batchCountConn{LocalConn: LocalConn{Site: site}}
-	ub := &unsupportedBatchConn{batchCountConn: bc}
-	br := cacheBroker(t, BrokerConfig{
-		BatchProbe:  true,
-		DeltaT:      period.Hour,
-		MaxAttempts: 4,
-	}, ub)
-
-	for i := int64(1); i <= 2; i++ {
-		if _, err := br.CoAllocate(0, Request{ID: i, Start: period.Time(i * 4 * int64(period.Hour)), Duration: period.Hour, Servers: 2}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := ub.batchCalls.Load(); got != 1 {
-		t.Fatalf("unsupported batch RPC attempted %d times, want 1 (memoized)", got)
-	}
-	if got := bc.probes.Load(); got == 0 {
-		t.Fatal("fallback never issued unary probes")
-	}
-}
-
-// unsupportedBatchConn answers every batch probe like an old binary.
-type unsupportedBatchConn struct {
-	*batchCountConn
-	batchCalls atomic.Int64
-}
-
-func (c *unsupportedBatchConn) ProbeBatch(period.Time, []Window) ([]ProbeResult, error) {
-	c.batchCalls.Add(1)
-	return nil, ErrProbeBatchUnsupported
-}
-
-// TestCacheWatchOverPlainConn pins the compat floor inside the process: a
-// broker asked to watch a connection that cannot is still a working broker
-// on passive invalidation.
-func TestCacheWatchOverPlainConn(t *testing.T) {
-	site := mustSite(t, "a", 4)
-	// plainConn hides every optional capability behind the bare Conn set.
-	type plainConn struct{ Conn }
-	br := cacheBroker(t, BrokerConfig{CacheWatch: true, WatchPoll: 20 * time.Millisecond},
-		plainConn{LocalConn{Site: site}})
-	defer br.Close()
-	w := period.Time(period.Hour)
-
-	if av := br.ProbeAll(0, 0, w)[0]; av.Err != nil || av.Available != 4 {
-		t.Fatalf("probe = %+v", av)
-	}
-	if _, err := br.CoAllocate(0, Request{ID: 1, Start: 0, Duration: period.Hour, Servers: 3}); err != nil {
-		t.Fatal(err)
-	}
-	if av := br.ProbeAll(0, 0, w)[0]; av.Err != nil || av.Available != 1 {
-		t.Fatalf("probe after commit = %+v, want 1", av)
-	}
-	if cs := br.CacheStats(); cs.WatchEvents != 0 || cs.WatchGaps != 0 {
-		t.Fatalf("plain conn produced watch traffic: %+v", cs)
 	}
 }

@@ -30,8 +30,8 @@ type SpanContext struct {
 }
 
 // Valid reports whether the context names a real span. The zero value is
-// "no trace": requests from old brokers decode with zero IDs and are left
-// untraced rather than misfiled under trace 0.
+// "no trace": untraced requests carry zero IDs and are left untraced
+// rather than misfiled under trace 0.
 func (c SpanContext) Valid() bool { return c.TraceID != 0 && c.SpanID != 0 }
 
 // Span is one timed operation in a trace. End is zero while the operation
@@ -345,4 +345,3 @@ func (a *ActiveSpan) End() {
 	// recycled immediately — the admitted snapshot holds no pointers in.
 	tbPool.Put(tb)
 }
-

@@ -111,6 +111,31 @@ func waitCaughtUp(t *testing.T, p *Primary, sb *Standby) {
 	t.Fatalf("standby stuck at lsn %d, primary at %d", sb.Log().NextLSN(), p.log.NextLSN())
 }
 
+// waitAcked spins until the primary has recorded replica name's
+// acknowledgment of its journal head. The standby persists a batch before
+// its ack travels back to the sender, so a caught-up standby log does not
+// yet imply the primary's lag counters have moved.
+func waitAcked(t *testing.T, p *Primary, name string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		p.mu.Lock()
+		rs := p.replicas[name]
+		lag := uint64(0)
+		if rs != nil {
+			lag = p.lagLocked(rs)
+		}
+		p.mu.Unlock()
+		if rs != nil && lag == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("primary never saw %s acknowledge its head (%d records behind)", name, lag)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestStreamReplicatesWorkload(t *testing.T) {
 	site, p := newPrimary(t, t.TempDir(), Async, 0)
 	sb := newStandby(t, t.TempDir())
@@ -120,6 +145,7 @@ func TestStreamReplicatesWorkload(t *testing.T) {
 
 	workload(t, site, "w", 30)
 	waitCaughtUp(t, p, sb)
+	waitAcked(t, p, "sb1")
 
 	want := snapshotBytes(t, site)
 	got := snapshotBytes(t, sb.Site())
@@ -498,7 +524,7 @@ func TestStandbyReadsServeWhileReplicating(t *testing.T) {
 	workload(t, site, "g", 6)
 	waitCaughtUp(t, p, sb)
 
-	n, _, _ := sb.Site().ProbeView(0, 0, period.Time(30*period.Minute))
+	n, _, _ := sb.Site().ProbeViewTraced(obs.SpanContext{}, 0, 0, period.Time(30*period.Minute))
 	if n < 0 {
 		t.Fatalf("standby probe = %d", n)
 	}

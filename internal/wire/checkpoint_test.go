@@ -7,6 +7,7 @@ import (
 
 	"coalloc/internal/core"
 	"coalloc/internal/grid"
+	"coalloc/internal/obs"
 	"coalloc/internal/period"
 	"coalloc/internal/wal"
 )
@@ -55,7 +56,7 @@ func TestCheckpointOverRPC(t *testing.T) {
 	}
 	t.Cleanup(func() { c.Close() })
 
-	if _, err := c.Prepare(0, "h1", 0, period.Time(period.Hour), 2, period.Hour); err != nil {
+	if _, err := c.PrepareConflict(obs.SpanContext{}, 0, "h1", 0, period.Time(period.Hour), 2, period.Hour, 0); err != nil {
 		t.Fatal(err)
 	}
 	before := wlog.NextLSN()

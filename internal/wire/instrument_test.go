@@ -27,19 +27,19 @@ func TestClientInstrumentPerMethodLatency(t *testing.T) {
 	c.Instrument(reg)
 
 	w := period.Time(period.Hour)
-	if _, err := c.Probe(0, 0, w); err != nil {
+	if _, err := c.ProbeTraced(obs.SpanContext{}, 0, 0, w); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Probe(0, 0, w); err != nil {
+	if _, err := c.ProbeTraced(obs.SpanContext{}, 0, 0, w); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Range(0, 0, w); err != nil {
+	if _, err := c.RangeView(0, 0, w); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Prepare(0, "h-m", 0, w, 2, 5*period.Minute); err != nil {
+	if _, err := c.PrepareConflict(obs.SpanContext{}, 0, "h-m", 0, w, 2, 5*period.Minute, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Commit(0, "h-m"); err != nil {
+	if err := c.CommitTraced(obs.SpanContext{}, 0, "h-m"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Stats(); err != nil {
@@ -68,7 +68,7 @@ func TestClientInstrumentPerMethodLatency(t *testing.T) {
 	}
 
 	// A failing call moves both its method histogram and the error counter.
-	if err := c.Commit(0, "no-such-hold"); err == nil {
+	if err := c.CommitTraced(obs.SpanContext{}, 0, "no-such-hold"); err == nil {
 		t.Fatal("commit of unknown hold succeeded")
 	}
 	if got := reg.Histogram("wire.client.metered.Commit.latency").Count(); got != 2 {
@@ -103,7 +103,7 @@ func TestClientInstrumentTimeoutAndReconnectCounters(t *testing.T) {
 	c.Instrument(reg)
 
 	proxy.SetMode(faultnet.Hang)
-	if _, err := c.Probe(0, 0, period.Time(period.Hour)); err == nil {
+	if _, err := c.ProbeTraced(obs.SpanContext{}, 0, 0, period.Time(period.Hour)); err == nil {
 		t.Fatal("probe through a hung proxy succeeded")
 	}
 	if got := reg.Counter("wire.client.metered-hang.timeouts").Value(); got != 1 {
@@ -114,7 +114,7 @@ func TestClientInstrumentTimeoutAndReconnectCounters(t *testing.T) {
 	}
 
 	proxy.Heal()
-	if _, err := c.Probe(0, 0, period.Time(period.Hour)); err != nil {
+	if _, err := c.ProbeTraced(obs.SpanContext{}, 0, 0, period.Time(period.Hour)); err != nil {
 		t.Fatalf("probe after heal: %v", err)
 	}
 	if got := reg.Counter("wire.client.metered-hang.reconnects").Value(); got != 1 {

@@ -49,7 +49,7 @@ func TestShutdownDrains(t *testing.T) {
 	}
 	defer c.Close()
 
-	if _, err := c.Prepare(0, "h1", 0, period.Time(period.Hour), 4, period.Hour); err != nil {
+	if _, err := c.PrepareConflict(obs.SpanContext{}, 0, "h1", 0, period.Time(period.Hour), 4, period.Hour, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := srv.Shutdown(time.Second); err != nil && !errors.Is(err, net.ErrClosed) {
@@ -82,7 +82,7 @@ func TestShutdownForceClosesIdleConns(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Probe(0, 0, period.Time(period.Hour)); err != nil {
+	if _, err := c.ProbeTraced(obs.SpanContext{}, 0, 0, period.Time(period.Hour)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -97,7 +97,7 @@ func TestShutdownForceClosesIdleConns(t *testing.T) {
 		t.Fatal("shutdown blocked on an idle connection")
 	}
 	// The connection was severed server-side: the next call must fail.
-	if _, err := c.Probe(0, 0, period.Time(period.Hour)); err == nil {
+	if _, err := c.ProbeTraced(obs.SpanContext{}, 0, 0, period.Time(period.Hour)); err == nil {
 		t.Fatal("probe succeeded over a force-closed connection")
 	}
 }
@@ -111,10 +111,10 @@ func TestStatsOverRPC(t *testing.T) {
 	}
 	defer c.Close()
 
-	if _, err := c.Prepare(0, "h1", 0, period.Time(period.Hour), 2, period.Hour); err != nil {
+	if _, err := c.PrepareConflict(obs.SpanContext{}, 0, "h1", 0, period.Time(period.Hour), 2, period.Hour, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Commit(0, "h1"); err != nil {
+	if err := c.CommitTraced(obs.SpanContext{}, 0, "h1"); err != nil {
 		t.Fatal(err)
 	}
 	st, err := c.Stats()
@@ -147,14 +147,14 @@ func TestRPCInstrumentation(t *testing.T) {
 	clientReg := obs.NewRegistry()
 	c.Instrument(clientReg)
 
-	if _, err := c.Probe(0, 0, period.Time(period.Hour)); err != nil {
+	if _, err := c.ProbeTraced(obs.SpanContext{}, 0, 0, period.Time(period.Hour)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Prepare(0, "dup", 0, period.Time(period.Hour), 2, period.Hour); err != nil {
+	if _, err := c.PrepareConflict(obs.SpanContext{}, 0, "dup", 0, period.Time(period.Hour), 2, period.Hour, 0); err != nil {
 		t.Fatal(err)
 	}
 	// A duplicate hold errors server-side; both error counters must move.
-	if _, err := c.Prepare(0, "dup", 0, period.Time(period.Hour), 2, period.Hour); err == nil {
+	if _, err := c.PrepareConflict(obs.SpanContext{}, 0, "dup", 0, period.Time(period.Hour), 2, period.Hour, 0); err == nil {
 		t.Fatal("duplicate prepare succeeded")
 	}
 

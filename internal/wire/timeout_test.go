@@ -57,7 +57,7 @@ func TestCallTimeoutOnHungSite(t *testing.T) {
 
 	proxy.SetMode(faultnet.Hang)
 	t0 := time.Now()
-	_, probeErr := c.Probe(0, 0, period.Time(period.Hour))
+	_, probeErr := c.ProbeTraced(obs.SpanContext{}, 0, 0, period.Time(period.Hour))
 	elapsed := time.Since(t0)
 	if probeErr == nil {
 		t.Fatal("probe through a hung proxy succeeded")
@@ -75,7 +75,7 @@ func TestCallTimeoutOnHungSite(t *testing.T) {
 	// After the partition heals the client transparently reconnects: the
 	// next call succeeds without a new Dial.
 	proxy.Heal()
-	r, err := c.Probe(0, 0, period.Time(period.Hour))
+	r, err := c.ProbeTraced(obs.SpanContext{}, 0, 0, period.Time(period.Hour))
 	if err != nil {
 		t.Fatalf("probe after heal: %v", err)
 	}
@@ -121,13 +121,13 @@ func TestReconnectAfterServerRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Probe(0, 0, 100); err != nil {
+	if _, err := c.ProbeTraced(obs.SpanContext{}, 0, 0, 100); err != nil {
 		t.Fatal(err)
 	}
 
 	// Kill the daemon: the established transport dies with it.
 	_ = srv.Shutdown(time.Second)
-	if _, err := c.Probe(0, 0, 100); err == nil {
+	if _, err := c.ProbeTraced(obs.SpanContext{}, 0, 0, 100); err == nil {
 		t.Fatal("probe against a dead server succeeded")
 	}
 
@@ -145,7 +145,7 @@ func TestReconnectAfterServerRestart(t *testing.T) {
 
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if _, err := c.Probe(0, 0, 100); err == nil {
+		if _, err := c.ProbeTraced(obs.SpanContext{}, 0, 0, 100); err == nil {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -164,7 +164,7 @@ func TestClosedClientStaysClosed(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Probe(0, 0, 100); err == nil {
+	if _, err := c.ProbeTraced(obs.SpanContext{}, 0, 0, 100); err == nil {
 		t.Fatal("closed client served a call (reconnected after Close)")
 	}
 }

@@ -11,24 +11,15 @@ package wire
 // multiplexed call down with it — and each poll is itself that
 // connection's liveness traffic, so a server-side IdleTimeout larger than
 // the poll bound never reclaims a healthy watch.
-//
-// Interop is gob's unknown-field tolerance plus net/rpc's method lookup:
-// an old broker never calls Watch or ProbeBatch; a new broker calling an
-// old server gets "rpc: can't find method", which the client maps to
-// grid.ErrWatchUnsupported / grid.ErrProbeBatchUnsupported so the broker
-// degrades to passive invalidation and per-window probes. Server.
-// SuppressWatch emulates that old server byte-for-byte for tests and
-// staged rollouts.
 
 import (
-	"errors"
 	"fmt"
 	"net/rpc"
 	"os"
-	"strings"
 	"time"
 
 	"coalloc/internal/grid"
+	"coalloc/internal/obs"
 	"coalloc/internal/period"
 )
 
@@ -74,8 +65,6 @@ type BatchWindow struct {
 type BatchProbeArgs struct {
 	Now     period.Time
 	Windows []BatchWindow
-	// Trace context; see ProbeArgs.
-	TraceID, SpanID uint64
 }
 
 // WindowProbe is one window's answer, tagged with the epoch and site clock
@@ -93,21 +82,9 @@ type BatchProbeReply struct {
 	Results  []WindowProbe
 }
 
-// errUnsupportedMethod fabricates the exact error a genuinely old server's
-// net/rpc produces for an unknown method, so SuppressWatch emulation and
-// real old binaries are indistinguishable on the wire.
-func errUnsupportedMethod(method string) error {
-	return errors.New("rpc: can't find method " + ServiceName + "." + method)
-}
-
-// Watch implements the RPC long-poll. A server suppressing the watch (or
-// epochs entirely — a pre-epoch binary certainly predates the watch)
-// answers exactly like a binary without the method.
+// Watch implements the RPC long-poll.
 func (s *Service) Watch(args WatchArgs, reply *WatchReply) error {
 	return s.m.observe("Watch", func() error {
-		if s.suppressWatch || s.suppressEpochs {
-			return errUnsupportedMethod("Watch")
-		}
 		wait := time.Duration(args.MaxWaitMillis) * time.Millisecond
 		if wait <= 0 {
 			wait = defaultWatchWait
@@ -124,43 +101,21 @@ func (s *Service) Watch(args WatchArgs, reply *WatchReply) error {
 	})
 }
 
-// ProbeBatch implements the batched ladder probe.
+// ProbeBatch implements the batched ladder probe. Batched probes carry no
+// trace context, so the site records nothing for them.
 func (s *Service) ProbeBatch(args BatchProbeArgs, reply *BatchProbeReply) error {
 	return s.m.observe("ProbeBatch", func() error {
-		if s.suppressWatch || s.suppressEpochs {
-			return errUnsupportedMethod("ProbeBatch")
-		}
 		if len(args.Windows) > maxBatchWindows {
 			return fmt.Errorf("wire: batch probe of %d windows exceeds the %d bound", len(args.Windows), maxBatchWindows)
 		}
-		tc := traceContext(args.TraceID, args.SpanID)
 		reply.Capacity = s.site.Servers()
 		reply.Results = make([]WindowProbe, len(args.Windows))
 		for i, w := range args.Windows {
-			n, epoch, siteNow := s.site.ProbeViewTraced(tc, args.Now, w.Start, w.End)
+			n, epoch, siteNow := s.site.ProbeViewTraced(obs.SpanContext{}, args.Now, w.Start, w.End)
 			reply.Results[i] = WindowProbe{Available: n, Epoch: epoch, SiteNow: siteNow}
 		}
 		return nil
 	})
-}
-
-// SuppressWatch makes the server answer Watch and ProbeBatch exactly like
-// a binary that predates them ("rpc: can't find method"), emulating an old
-// site for compat tests and staged rollouts. Call before Serve. Epoch
-// metadata on the plain probe path is unaffected; use SuppressEpochs to
-// emulate an even older binary (which implies no watch either).
-func (s *Server) SuppressWatch() { s.svc.suppressWatch = true }
-
-// isUnsupportedMethodErr matches the net/rpc answer for a method the far
-// side does not register — the interop signal that the server predates
-// this RPC. net/rpc flattens server errors to strings, so matching the
-// message is the only portable test.
-func isUnsupportedMethodErr(err error) bool {
-	if err == nil {
-		return false
-	}
-	msg := err.Error()
-	return strings.Contains(msg, "can't find method") || strings.Contains(msg, "can't find service")
 }
 
 // watchClient returns the dedicated watch transport, dialing it lazily and
@@ -207,12 +162,11 @@ func (c *Client) closeWatch() {
 	}
 }
 
-// WatchEpoch implements grid.WatchConn: one bounded long-poll on the
-// dedicated watch transport. The local deadline is the requested wait plus
-// a margin (CallTimeout when configured), so a healthy park never times
-// out locally but a hung or partitioned server does; expiry severs only
-// the watch transport. An old server answers "can't find method", mapped
-// to grid.ErrWatchUnsupported so the broker stays on passive invalidation.
+// WatchEpoch implements grid.Conn: one bounded long-poll on the dedicated
+// watch transport. The local deadline is the requested wait plus a margin
+// (CallTimeout when configured), so a healthy park never times out locally
+// but a hung or partitioned server does; expiry severs only the watch
+// transport.
 func (c *Client) WatchEpoch(after uint64, maxWait time.Duration) (grid.EpochEvent, bool, error) {
 	if maxWait <= 0 {
 		maxWait = defaultWatchWait
@@ -233,9 +187,6 @@ func (c *Client) WatchEpoch(after uint64, maxWait time.Duration) (grid.EpochEven
 	select {
 	case done := <-call.Done:
 		if done.Error != nil {
-			if isUnsupportedMethodErr(done.Error) {
-				return grid.EpochEvent{}, false, fmt.Errorf("wire %s: %w", c.addr, grid.ErrWatchUnsupported)
-			}
 			if isConnError(done.Error) {
 				c.severWatch(rc)
 			}
@@ -252,9 +203,7 @@ func (c *Client) WatchEpoch(after uint64, maxWait time.Duration) (grid.EpochEven
 	}
 }
 
-// ProbeBatch implements grid.BatchProbeConn: the whole Δt ladder in one
-// round trip. An old server maps to grid.ErrProbeBatchUnsupported so the
-// broker falls back to per-window probes.
+// ProbeBatch implements grid.Conn: the whole Δt ladder in one round trip.
 func (c *Client) ProbeBatch(now period.Time, windows []grid.Window) ([]grid.ProbeResult, error) {
 	args := BatchProbeArgs{Now: now, Windows: make([]BatchWindow, len(windows))}
 	for i, w := range windows {
@@ -262,26 +211,14 @@ func (c *Client) ProbeBatch(now period.Time, windows []grid.Window) ([]grid.Prob
 	}
 	var reply BatchProbeReply
 	if err := c.call("ProbeBatch", args, &reply); err != nil {
-		if isUnsupportedMethodErr(err) {
-			return nil, fmt.Errorf("wire %s: %w", c.addr, grid.ErrProbeBatchUnsupported)
-		}
 		return nil, err
 	}
 	if len(reply.Results) != len(windows) {
 		return nil, fmt.Errorf("wire: batch probe answered %d of %d windows", len(reply.Results), len(windows))
 	}
-	capacity := reply.Capacity
-	if capacity == 0 {
-		capacity = c.servers
-	}
 	out := make([]grid.ProbeResult, len(reply.Results))
 	for i, r := range reply.Results {
-		out[i] = grid.ProbeResult{Available: r.Available, Capacity: capacity, Epoch: r.Epoch, SiteNow: r.SiteNow}
+		out[i] = grid.ProbeResult{Available: r.Available, Capacity: reply.Capacity, Epoch: r.Epoch, SiteNow: r.SiteNow}
 	}
 	return out, nil
 }
-
-var (
-	_ grid.WatchConn      = (*Client)(nil)
-	_ grid.BatchProbeConn = (*Client)(nil)
-)

@@ -1,99 +1,19 @@
 package wire
 
-// Watch and batch-probe compatibility suite, in the mold of the epoch
-// compat tests: the two RPCs added in the watch PR must be invisible to old
-// peers in both directions. An old server answers them "can't find method",
-// which the client maps to the grid sentinels so the broker degrades to
-// passive invalidation and per-window probes; SuppressWatch must be
-// byte-identical to the genuine old-server error so drills are honest. The
-// stream itself must survive a server restart by re-subscribing.
+// Watch and batch-probe suite: the epoch long-poll and the batched ladder
+// probe over a real server, and the stream's survival across a server
+// restart by re-subscribing.
 
 import (
-	"errors"
 	"net"
 	"testing"
 	"time"
 
 	"coalloc/internal/core"
 	"coalloc/internal/grid"
+	"coalloc/internal/obs"
 	"coalloc/internal/period"
 )
-
-// TestLegacyServerWatchUnsupported pins the degradation signal: calling the
-// watch or the batch probe on a binary that predates them yields the grid
-// sentinels, not a raw rpc error.
-func TestLegacyServerWatchUnsupported(t *testing.T) {
-	_, c := startLegacySite(t, "old-watch", 4)
-	_, _, err := c.WatchEpoch(0, 50*time.Millisecond)
-	if !errors.Is(err, grid.ErrWatchUnsupported) {
-		t.Fatalf("watch against legacy server = %v, want ErrWatchUnsupported", err)
-	}
-	_, err = c.ProbeBatch(0, []grid.Window{{Start: 0, End: period.Time(period.Hour)}})
-	if !errors.Is(err, grid.ErrProbeBatchUnsupported) {
-		t.Fatalf("batch probe against legacy server = %v, want ErrProbeBatchUnsupported", err)
-	}
-}
-
-// suppressedServer starts a modern server with the given suppression
-// applied and returns a dialed client.
-func suppressedServer(t *testing.T, name string, suppress func(*Server)) *Client {
-	t.Helper()
-	site, err := grid.NewSite(name, core.Config{
-		Servers:  4,
-		SlotSize: 15 * period.Minute,
-		Slots:    96,
-	}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := NewServer(site)
-	if err != nil {
-		t.Fatal(err)
-	}
-	suppress(srv)
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(l)
-	t.Cleanup(func() { srv.Close() })
-	c, err := Dial("tcp", l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
-	return c
-}
-
-// TestSuppressWatchMatchesLegacyError proves the emulation honest: a
-// suppressed modern server and a genuinely old server must be
-// indistinguishable to the client — same sentinel, same underlying rpc
-// error string. SuppressEpochs implies the same answer (a pre-epoch binary
-// certainly predates the watch).
-func TestSuppressWatchMatchesLegacyError(t *testing.T) {
-	rawErr := func(c *Client) (watch, batch string) {
-		_, _, werr := c.WatchEpoch(0, 50*time.Millisecond)
-		_, berr := c.ProbeBatch(0, []grid.Window{{Start: 0, End: period.Time(period.Hour)}})
-		if !errors.Is(werr, grid.ErrWatchUnsupported) || !errors.Is(berr, grid.ErrProbeBatchUnsupported) {
-			t.Fatalf("suppression did not map to the sentinels: watch=%v batch=%v", werr, berr)
-		}
-		// Strip the client's "wire <addr>" prefix: the comparison is about
-		// what came over the wire, and the sentinel wrap is addr-specific.
-		return errors.Unwrap(werr).Error(), errors.Unwrap(berr).Error()
-	}
-	_, legacy := startLegacySite(t, "old-watch-err", 4)
-	lw, lb := rawErr(legacy)
-	sw := suppressedServer(t, "suppress-watch", func(s *Server) { s.SuppressWatch() })
-	ww, wb := rawErr(sw)
-	if lw != ww || lb != wb {
-		t.Fatalf("SuppressWatch error differs from a real old server:\n  legacy: %q / %q\n  suppressed: %q / %q", lw, lb, ww, wb)
-	}
-	se := suppressedServer(t, "suppress-epochs-watch", func(s *Server) { s.SuppressEpochs() })
-	ew, eb := rawErr(se)
-	if lw != ew || lb != eb {
-		t.Fatalf("SuppressEpochs watch error differs from a real old server:\n  legacy: %q / %q\n  suppressed: %q / %q", lw, lb, ew, eb)
-	}
-}
 
 // TestWatchOverRPC exercises the long poll against a modern server: an
 // after=0 poll answers immediately with the current epoch, a poll at the
@@ -126,7 +46,7 @@ func TestWatchOverRPC(t *testing.T) {
 		got <- answer{ev2, ch, err2}
 	}()
 	time.Sleep(20 * time.Millisecond) // let the poll park server-side
-	if _, err := c.Prepare(0, "h1", 0, period.Time(period.Hour), 2, 600); err != nil {
+	if _, err := c.PrepareConflict(obs.SpanContext{}, 0, "h1", 0, period.Time(period.Hour), 2, 600, 0); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -148,10 +68,10 @@ func TestWatchOverRPC(t *testing.T) {
 func TestProbeBatchOverRPC(t *testing.T) {
 	c := startSite(t, "batch-rpc", 4)
 	h := period.Time(period.Hour)
-	if _, err := c.Prepare(0, "h1", 0, h, 3, 600); err != nil {
+	if _, err := c.PrepareConflict(obs.SpanContext{}, 0, "h1", 0, h, 3, 600, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Commit(0, "h1"); err != nil {
+	if err := c.CommitTraced(obs.SpanContext{}, 0, "h1"); err != nil {
 		t.Fatal(err)
 	}
 	wins := []grid.Window{{Start: 0, End: h}, {Start: h, End: 2 * h}, {Start: 2 * h, End: 3 * h}}
@@ -162,7 +82,7 @@ func TestProbeBatchOverRPC(t *testing.T) {
 	if len(rs) != len(wins) {
 		t.Fatalf("batch answered %d windows, want %d", len(rs), len(wins))
 	}
-	unary, err := c.Probe(0, 0, h)
+	unary, err := c.ProbeTraced(obs.SpanContext{}, 0, 0, h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,41 +93,6 @@ func TestProbeBatchOverRPC(t *testing.T) {
 		if r.Epoch != unary.Epoch || r.Capacity != 4 {
 			t.Fatalf("window %d epoch/capacity = %#x/%d, unary probe says %#x/4", i, r.Epoch, r.Capacity, unary.Epoch)
 		}
-	}
-}
-
-// TestBrokerWatchDegradesOverLegacySite is the interop acceptance test for
-// the watch: a broker configured to watch a legacy site must behave exactly
-// like a passive caching broker — correct through a 2PC cycle, no watch
-// traffic, no stream-gap churn.
-func TestBrokerWatchDegradesOverLegacySite(t *testing.T) {
-	_, c := startLegacySite(t, "old-watch-broker", 4)
-	br, err := grid.NewBroker(grid.BrokerConfig{
-		ProbeCache:       true,
-		CacheWatch:       true,
-		BatchProbe:       true,
-		WatchPoll:        50 * time.Millisecond,
-		BreakerThreshold: -1,
-	}, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer br.Close()
-	w := period.Time(period.Hour)
-	if av := br.ProbeAll(0, 0, w)[0]; av.Err != nil || av.Available != 4 {
-		t.Fatalf("probe = %+v", av)
-	}
-	if _, err := br.CoAllocate(0, grid.Request{ID: 1, Start: 0, Duration: period.Hour, Servers: 3}); err != nil {
-		t.Fatal(err)
-	}
-	if av := br.ProbeAll(0, 0, w)[0]; av.Err != nil || av.Available != 1 {
-		t.Fatalf("probe after commit = %+v, want 1", av)
-	}
-	// Give the watch loop time to have tried (and permanently stopped).
-	time.Sleep(100 * time.Millisecond)
-	cs := br.CacheStats()
-	if cs.WatchEvents != 0 || cs.WatchGaps != 0 || cs.BatchProbes != 0 {
-		t.Fatalf("legacy site produced watch/batch traffic: %+v", cs)
 	}
 }
 

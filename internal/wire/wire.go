@@ -27,10 +27,8 @@ const ServiceName = "CoallocSite"
 //
 // TraceID and SpanID carry the broker's span context so the site's own spans
 // (view lookup, queue wait, WAL flush) land in a trace fragment that links
-// back to the broker's request. Like the epoch fields, they ride gob's
-// unknown-field tolerance: an old server drops them (the request is simply
-// untraced site-side), and a request from an old broker decodes with both
-// zero — the sentinel telling the site not to record anything.
+// back to the broker's request. Both zero — an untraced call, which gob
+// does not even transmit — tells the site not to record anything.
 type ProbeArgs struct {
 	Now, Start, End period.Time
 	TraceID, SpanID uint64
@@ -40,11 +38,7 @@ type ProbeArgs struct {
 // capacity, so a broker's split decision needs one round trip per site, not
 // two.
 //
-// Epoch and SiteNow are the cacheability metadata of grid.ProbeResult. Both
-// ride gob, which silently drops fields the peer does not know and zeroes
-// fields the peer did not send: an old broker ignores them, and a reply
-// from an old server decodes with Epoch == 0 — the sentinel telling a new
-// broker the answer carries no invalidation signal and must not be cached.
+// Epoch and SiteNow are the cacheability metadata of grid.ProbeResult.
 type ProbeReply struct {
 	Available int
 	Capacity  int
@@ -60,8 +54,8 @@ type RangeArgs struct {
 	TraceID, SpanID uint64
 }
 
-// RangeReply lists the feasible periods, with the same backward-compatible
-// cacheability metadata as ProbeReply.
+// RangeReply lists the feasible periods, with the same cacheability
+// metadata as ProbeReply.
 type RangeReply struct {
 	Feasible []period.Period
 	Epoch    uint64
@@ -71,12 +65,8 @@ type RangeReply struct {
 // PrepareArgs leases servers for a window (2PC phase 1).
 //
 // ProbedEpoch is the site epoch the broker's availability answer was
-// computed at; zero (also what a request from a pre-conflict broker decodes
-// as) means "did not probe / no epoch support" and disables conflict
-// classification for the call. It doubles as the compat gate for the reply:
-// only a caller that sent a non-zero ProbedEpoch understands the Conflict
-// reply fields, so the server never answers an old broker with a
-// nil-error-plus-Conflict reply it would misread as a successful prepare.
+// computed at; zero means "did not probe" and disables conflict
+// classification for the call.
 type PrepareArgs struct {
 	Now     period.Time
 	HoldID  string
@@ -99,11 +89,8 @@ type PrepareArgs struct {
 // servers were free at the caller's ProbedEpoch but the site's epoch has
 // moved (to ConflictEpoch) and the window no longer fits. It rides the
 // reply with a nil RPC error because net/rpc does not transmit the reply
-// body when the handler errors — and it is only ever set for callers that
-// proved they understand it (ProbedEpoch != 0 on the request; see
-// PrepareArgs). A reply from an old server decodes with Conflict == false,
-// so a new broker talking to an old site sees plain errors and degrades to
-// the Δt-ladder behavior.
+// body when the handler errors. The site only classifies a conflict for a
+// non-zero ProbedEpoch, so a caller that did not probe sees plain errors.
 type PrepareReply struct {
 	Servers       []int
 	Epoch         uint64
@@ -125,10 +112,20 @@ type DecideReply struct{}
 // InfoArgs requests site metadata.
 type InfoArgs struct{}
 
+// ProtocolVersion is the wire protocol this package speaks. Sites report
+// theirs in InfoReply.Proto and DialConfig refuses any other, so an
+// incompatible peer fails at dial instead of degrading one field at a time.
+const ProtocolVersion = 1
+
+// ErrProtocol reports a site whose protocol version differs from
+// ProtocolVersion; a site binary that predates the version field reports 0.
+var ErrProtocol = errors.New("wire: protocol version mismatch")
+
 // InfoReply describes a site.
 type InfoReply struct {
 	Name    string
 	Servers int
+	Proto   int // the site's ProtocolVersion
 }
 
 // CheckpointArgs requests a durable cut: the site snapshots itself into its
@@ -193,19 +190,10 @@ func (m *svcMetrics) observe(method string, fn func() error) error {
 type Service struct {
 	site *grid.Site
 	m    *svcMetrics
-	// suppressEpochs omits epoch metadata from replies, emulating a server
-	// binary that predates the epoch field; see Server.SuppressEpochs.
-	suppressEpochs bool
-	// suppressWatch answers Watch/ProbeBatch like a binary without the
-	// methods; see Server.SuppressWatch in watch.go.
-	suppressWatch bool
-	// suppressConflicts answers Prepare like a binary that has epochs but
-	// predates conflict classification; see Server.SuppressConflicts.
-	suppressConflicts bool
 }
 
 // traceContext rebuilds the caller's span context from a request's trace
-// fields. Requests from pre-trace brokers decode with both zero, which
+// fields. Untraced requests decode with both zero, which
 // obs.SpanContext.Valid rejects — the site records nothing for them.
 func traceContext(traceID, spanID uint64) obs.SpanContext {
 	return obs.SpanContext{TraceID: traceID, SpanID: spanID}
@@ -217,10 +205,8 @@ func (s *Service) Probe(args ProbeArgs, reply *ProbeReply) error {
 		n, epoch, siteNow := s.site.ProbeViewTraced(traceContext(args.TraceID, args.SpanID), args.Now, args.Start, args.End)
 		reply.Available = n
 		reply.Capacity = s.site.Servers()
-		if !s.suppressEpochs {
-			reply.Epoch = epoch
-			reply.SiteNow = siteNow
-		}
+		reply.Epoch = epoch
+		reply.SiteNow = siteNow
 		return nil
 	})
 }
@@ -230,10 +216,8 @@ func (s *Service) Range(args RangeArgs, reply *RangeReply) error {
 	return s.m.observe("Range", func() error {
 		feasible, epoch, siteNow := s.site.RangeSearchViewTraced(traceContext(args.TraceID, args.SpanID), args.Now, args.Start, args.End)
 		reply.Feasible = feasible
-		if !s.suppressEpochs {
-			reply.Epoch = epoch
-			reply.SiteNow = siteNow
-		}
+		reply.Epoch = epoch
+		reply.SiteNow = siteNow
 		return nil
 	})
 }
@@ -241,20 +225,12 @@ func (s *Service) Range(args RangeArgs, reply *RangeReply) error {
 // Prepare implements the RPC method.
 func (s *Service) Prepare(args PrepareArgs, reply *PrepareReply) error {
 	return s.m.observe("Prepare", func() error {
-		probedEpoch := args.ProbedEpoch
-		if s.suppressEpochs || s.suppressConflicts {
-			// Emulating a binary that predates the conflict (or the whole
-			// epoch) protocol: never classify, never touch the reply fields.
-			probedEpoch = 0
-		}
-		servers, err := s.site.PrepareConflictTraced(traceContext(args.TraceID, args.SpanID), args.Now, args.HoldID, args.Start, args.End, args.Servers, args.Lease, probedEpoch)
+		servers, err := s.site.PrepareConflictTraced(traceContext(args.TraceID, args.SpanID), args.Now, args.HoldID, args.Start, args.End, args.Servers, args.Lease, args.ProbedEpoch)
 		if err != nil {
 			var conflict *grid.ConflictError
-			if errors.As(err, &conflict) && args.ProbedEpoch != 0 {
+			if errors.As(err, &conflict) {
 				// The conflict must ride the reply body under a nil error:
-				// net/rpc drops the body when the handler errors. Safe only
-				// because ProbedEpoch != 0 proved the caller decodes the
-				// field; see PrepareArgs.
+				// net/rpc drops the body when the handler errors.
 				reply.Conflict = true
 				reply.ConflictEpoch = conflict.Epoch
 				return nil
@@ -262,9 +238,7 @@ func (s *Service) Prepare(args PrepareArgs, reply *PrepareReply) error {
 			return err
 		}
 		reply.Servers = servers
-		if !s.suppressEpochs {
-			reply.Epoch = s.site.Epoch()
-		}
+		reply.Epoch = s.site.Epoch()
 		return nil
 	})
 }
@@ -288,6 +262,7 @@ func (s *Service) Info(_ InfoArgs, reply *InfoReply) error {
 	return s.m.observe("Info", func() error {
 		reply.Name = s.site.Name()
 		reply.Servers = s.site.Servers()
+		reply.Proto = ProtocolVersion
 		return nil
 	})
 }
@@ -338,20 +313,6 @@ func NewServer(site *grid.Site) (*Server, error) {
 	}
 	return &Server{site: site, svc: svc, rpc: srv, conns: make(map[net.Conn]struct{})}, nil
 }
-
-// SuppressEpochs makes the server omit the epoch metadata from Probe,
-// Range, and Prepare replies, byte-compatibly emulating a site binary that
-// predates the epoch field. Call before Serve. Tests (and gridd
-// -suppress-epochs) use it to prove a caching broker degrades to uncached
-// correctness against old servers instead of poisoning its cache.
-func (s *Server) SuppressEpochs() { s.svc.suppressEpochs = true }
-
-// SuppressConflicts makes the server answer Prepare like a binary that
-// reports epochs but predates conflict classification: every capacity
-// refusal returns as a plain RPC error, never as a Conflict reply. Call
-// before Serve. Tests use it to prove a conflict-aware broker degrades to
-// the Δt-ladder behavior against such servers.
-func (s *Server) SuppressConflicts() { s.svc.suppressConflicts = true }
 
 // Instrument installs per-method latency histograms, an error counter, and
 // connection gauges under reg's "wire.server." prefix. Call before Serve.
@@ -482,12 +443,7 @@ type Client struct {
 	reconnects *obs.Counter
 }
 
-var (
-	_ grid.Conn                = (*Client)(nil)
-	_ grid.RangeConn           = (*Client)(nil)
-	_ grid.TracedConn          = (*Client)(nil)
-	_ grid.ConflictPrepareConn = (*Client)(nil)
-)
+var _ grid.Conn = (*Client)(nil)
 
 // Dial connects to a site daemon and fetches its identity, with no
 // deadlines (the historical behavior). Production brokers should prefer
@@ -498,7 +454,8 @@ func Dial(network, addr string) (*Client, error) {
 
 // DialConfig connects to a site daemon with the given deadline
 // configuration and fetches its identity. The identity handshake itself is
-// bounded by the configured timeouts.
+// bounded by the configured timeouts, and a site speaking another protocol
+// version fails it with an error matching ErrProtocol.
 func DialConfig(network, addr string, cfg ClientConfig) (*Client, error) {
 	c := &Client{network: network, addr: addr, cfg: cfg}
 	rc, err := c.redialLocked()
@@ -510,6 +467,10 @@ func DialConfig(network, addr string, cfg ClientConfig) (*Client, error) {
 	if err := c.call("Info", InfoArgs{}, &info); err != nil {
 		c.Close()
 		return nil, fmt.Errorf("wire: info %s: %w", addr, err)
+	}
+	if info.Proto != ProtocolVersion {
+		c.Close()
+		return nil, fmt.Errorf("%w: site %s speaks version %d, this client speaks %d", ErrProtocol, addr, info.Proto, ProtocolVersion)
 	}
 	c.name = info.Name
 	c.servers = info.Servers
@@ -645,45 +606,18 @@ func (c *Client) Name() string { return c.name }
 // Servers implements grid.Conn.
 func (c *Client) Servers() (int, error) { return c.servers, nil }
 
-// Probe implements grid.Conn.
-func (c *Client) Probe(now, start, end period.Time) (grid.ProbeResult, error) {
-	return c.ProbeTraced(obs.SpanContext{}, now, start, end)
-}
-
-// ProbeTraced implements grid.TracedConn: Probe with the caller's span
-// context stamped on the request so the site's spans parent under it.
+// ProbeTraced implements grid.Conn, stamping the caller's span context on
+// the request so the site's spans parent under it.
 func (c *Client) ProbeTraced(tc obs.SpanContext, now, start, end period.Time) (grid.ProbeResult, error) {
 	var reply ProbeReply
 	if err := c.call("Probe", ProbeArgs{Now: now, Start: start, End: end, TraceID: tc.TraceID, SpanID: tc.SpanID}, &reply); err != nil {
 		return grid.ProbeResult{}, err
 	}
-	r := grid.ProbeResult{
-		Available: reply.Available,
-		Capacity:  reply.Capacity,
-		// Epoch stays zero when the server predates the field, which tells
-		// a caching broker the answer has no invalidation signal.
-		Epoch:   reply.Epoch,
-		SiteNow: reply.SiteNow,
-	}
-	if r.Capacity == 0 {
-		// A pre-Capacity server left the field unset; fall back to the
-		// capacity cached from the Info handshake.
-		r.Capacity = c.servers
-	}
-	return r, nil
+	return grid.ProbeResult{Available: reply.Available, Capacity: reply.Capacity, Epoch: reply.Epoch, SiteNow: reply.SiteNow}, nil
 }
 
-// Range fetches every feasible start period for the window from the site.
-func (c *Client) Range(now, start, end period.Time) ([]period.Period, error) {
-	var reply RangeReply
-	if err := c.call("Range", RangeArgs{Now: now, Start: start, End: end}, &reply); err != nil {
-		return nil, err
-	}
-	return reply.Feasible, nil
-}
-
-// RangeView implements grid.RangeConn: the range search tagged with the
-// epoch metadata a caching broker needs.
+// RangeView implements grid.Conn: the range search tagged with the epoch
+// metadata a caching broker needs.
 func (c *Client) RangeView(now, start, end period.Time) (grid.RangeResult, error) {
 	var reply RangeReply
 	if err := c.call("Range", RangeArgs{Now: now, Start: start, End: end}, &reply); err != nil {
@@ -692,20 +626,9 @@ func (c *Client) RangeView(now, start, end period.Time) (grid.RangeResult, error
 	return grid.RangeResult{Feasible: reply.Feasible, Epoch: reply.Epoch, SiteNow: reply.SiteNow}, nil
 }
 
-// Prepare implements grid.Conn.
-func (c *Client) Prepare(now period.Time, holdID string, start, end period.Time, servers int, lease period.Duration) ([]int, error) {
-	return c.PrepareTraced(obs.SpanContext{}, now, holdID, start, end, servers, lease)
-}
-
-// PrepareTraced implements grid.TracedConn.
-func (c *Client) PrepareTraced(tc obs.SpanContext, now period.Time, holdID string, start, end period.Time, servers int, lease period.Duration) ([]int, error) {
-	return c.PrepareConflict(tc, now, holdID, start, end, servers, lease, 0)
-}
-
-// PrepareConflict implements grid.ConflictPrepareConn: Prepare carrying the
-// probed epoch, with a Conflict reply rebuilt into the typed error the
-// broker's retry path matches on. Against an old server the reply decodes
-// with Conflict false and every refusal stays a plain error.
+// PrepareConflict implements grid.Conn: Prepare carrying the probed epoch,
+// with a Conflict reply rebuilt into the typed error the broker's retry
+// path matches on.
 func (c *Client) PrepareConflict(tc obs.SpanContext, now period.Time, holdID string, start, end period.Time, servers int, lease period.Duration, probedEpoch uint64) ([]int, error) {
 	var reply PrepareReply
 	err := c.call("Prepare", PrepareArgs{
@@ -721,22 +644,12 @@ func (c *Client) PrepareConflict(tc obs.SpanContext, now period.Time, holdID str
 	return reply.Servers, nil
 }
 
-// Commit implements grid.Conn.
-func (c *Client) Commit(now period.Time, holdID string) error {
-	return c.CommitTraced(obs.SpanContext{}, now, holdID)
-}
-
-// CommitTraced implements grid.TracedConn.
+// CommitTraced implements grid.Conn.
 func (c *Client) CommitTraced(tc obs.SpanContext, now period.Time, holdID string) error {
 	return c.call("Commit", DecideArgs{Now: now, HoldID: holdID, TraceID: tc.TraceID, SpanID: tc.SpanID}, &DecideReply{})
 }
 
-// Abort implements grid.Conn.
-func (c *Client) Abort(now period.Time, holdID string) error {
-	return c.AbortTraced(obs.SpanContext{}, now, holdID)
-}
-
-// AbortTraced implements grid.TracedConn.
+// AbortTraced implements grid.Conn.
 func (c *Client) AbortTraced(tc obs.SpanContext, now period.Time, holdID string) error {
 	return c.call("Abort", DecideArgs{Now: now, HoldID: holdID, TraceID: tc.TraceID, SpanID: tc.SpanID}, &DecideReply{})
 }
