@@ -14,7 +14,7 @@ import (
 // references is frozen the moment the view exists. The tail index is copied
 // outright (it is a flat slice, cheaper to copy than to track). View
 // searches use the side-effect-free dtree read path (SearchRO), which
-// touches no operation counter, timing histogram, or node pool — a view
+// touches no operation counter or node pool — a view
 // therefore contributes nothing to the Fig. 7(b) operation metric, exactly
 // like any other read replica.
 type treeView struct {

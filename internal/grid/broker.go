@@ -160,8 +160,6 @@ type BrokerConfig struct {
 	// Registry, if non-nil, receives 2PC outcome counters and window
 	// latencies under the "broker." prefix.
 	Registry *obs.Registry
-	// Tracer, if non-nil, receives per-request prepare/commit/abort events.
-	Tracer obs.Tracer
 	// Recorder receives the broker's completed request traces. When nil,
 	// NewBroker creates one with default retention unless NoTrace is set:
 	// the flight recorder is always on, cheap enough to leave enabled.
@@ -334,8 +332,7 @@ type Broker struct {
 	sites  []Conn // sorted by name: the global prepare order
 	health map[string]*siteHealth
 	m      *brokerMetrics
-	cache  *probeCache // nil unless cfg.ProbeCache
-	tracer obs.Tracer
+	cache  *probeCache   // nil unless cfg.ProbeCache
 	rec    *obs.Recorder // flight recorder; nil only under cfg.NoTrace
 	// probeAttrs[i][source] is the prebuilt read-only attr slice for site
 	// i's broker.probe span with that answer source; see NewBroker.
@@ -393,7 +390,6 @@ func NewBroker(cfg BrokerConfig, sites ...Conn) (*Broker, error) {
 		sites:  ordered,
 		health: health,
 		m:      newBrokerMetrics(cfg.Registry),
-		tracer: cfg.Tracer,
 		rec:    cfg.Recorder,
 		epoch:  newEpoch(),
 		rng:    mrand.New(mrand.NewSource(time.Now().UnixNano())),
@@ -423,13 +419,8 @@ func NewBroker(cfg BrokerConfig, sites ...Conn) (*Broker, error) {
 		for _, c := range ordered {
 			if rn, ok := c.(retargetNotifier); ok {
 				site := c.Name()
-				rn.OnRetarget(func(target string) {
-					if b.cache.invalidate(site) {
-						b.event(obs.EventCacheInvalidate,
-							slog.String("site", site),
-							slog.String("cause", "failover"),
-							slog.String("target", target))
-					}
+				rn.OnRetarget(func(string) {
+					b.cache.invalidate(site)
 				})
 			}
 		}
@@ -513,14 +504,12 @@ func (b *Broker) siteOK(c Conn) {
 	if h == nil {
 		return
 	}
-	if h.success() {
-		b.event(obs.EventBreakerClose, slog.String("site", c.Name()))
-	}
+	h.success()
 }
 
 // siteFailed records a failed interaction with a site: timeout accounting,
-// consecutive-failure tracking, and the open transition with its event and
-// counter.
+// consecutive-failure tracking, and the open transition with its counter
+// and failover attempt.
 func (b *Broker) siteFailed(c Conn, err error) {
 	if b.m != nil && isTimeoutErr(err) {
 		b.m.rpcTimeouts.Inc()
@@ -534,7 +523,6 @@ func (b *Broker) siteFailed(c Conn, err error) {
 		if b.m != nil {
 			b.m.breakerOpen.Inc()
 		}
-		b.event(obs.EventBreakerOpen, slog.String("site", c.Name()), slog.String("cause", err.Error()))
 		b.tryFailover(c, err)
 	}
 }
@@ -551,13 +539,9 @@ func (b *Broker) tryFailover(c Conn, cause error) {
 	if !ok {
 		return
 	}
-	target, err := fc.Failover("breaker open: " + cause.Error())
-	if err != nil {
+	if _, err := fc.Failover("breaker open: " + cause.Error()); err != nil {
 		// No standby left (or promotion failed): the breaker stays open and
 		// cools down like any plain outage.
-		b.event(obs.EventFailover,
-			slog.String("site", c.Name()),
-			slog.String("err", err.Error()))
 		return
 	}
 	// The promoted standby is a different node under the same name: close
@@ -572,10 +556,6 @@ func (b *Broker) tryFailover(c Conn, cause error) {
 	if b.m != nil {
 		b.m.failovers.Inc()
 	}
-	b.event(obs.EventFailover,
-		slog.String("site", c.Name()),
-		slog.String("target", target),
-		slog.String("cause", cause.Error()))
 }
 
 // Health reports each site's breaker state in prepare order.
@@ -602,13 +582,6 @@ func (b *Broker) Health() []SiteHealth {
 // Recorder returns the broker's flight recorder; nil when the broker was
 // built with NoTrace.
 func (b *Broker) Recorder() *obs.Recorder { return b.rec }
-
-// event emits a tracer event if a tracer is configured.
-func (b *Broker) event(name string, attrs ...slog.Attr) {
-	if b.tracer != nil {
-		b.tracer.Event(name, attrs...)
-	}
-}
 
 // Stats returns a snapshot of the broker's counters.
 func (b *Broker) Stats() BrokerStats {
@@ -658,11 +631,6 @@ func (b *Broker) CoAllocate(now period.Time, req Request) (MultiAllocation, erro
 		b.m.requests.Inc()
 		defer b.m.requestLatency.SinceTrace(time.Now(), root.TraceID())
 	}
-	b.event(obs.EventSubmit,
-		slog.Int64("job", req.ID),
-		slog.Int("servers", req.Servers),
-		slog.Int64("start", int64(req.Start)),
-		slog.Int64("duration", int64(req.Duration)))
 
 	start := req.Start
 	if start < now {
@@ -688,11 +656,6 @@ func (b *Broker) CoAllocate(now period.Time, req Request) (MultiAllocation, erro
 				b.m.granted.Inc()
 			}
 			root.Annotate(slog.String("hold", alloc.HoldID), slog.Int("attempts", attempt))
-			b.event(obs.EventAccept,
-				slog.Int64("job", req.ID),
-				slog.String("hold", alloc.HoldID),
-				slog.Int("attempts", attempt),
-				slog.Int64("start", int64(alloc.Start)))
 			return alloc, nil
 		}
 		var ce *CommitError
@@ -706,10 +669,6 @@ func (b *Broker) CoAllocate(now period.Time, req Request) (MultiAllocation, erro
 				b.m.partials.Inc()
 			}
 			root.Fail(err)
-			b.event(obs.EventReject,
-				slog.Int64("job", req.ID),
-				slog.String("reason", "partial commit"),
-				slog.String("hold", ce.HoldID))
 			return MultiAllocation{}, err
 		}
 		if errors.Is(err, ErrAllSitesUnreachable) {
@@ -724,20 +683,10 @@ func (b *Broker) CoAllocate(now period.Time, req Request) (MultiAllocation, erro
 				b.m.allUnreachable.Inc()
 			}
 			root.Fail(err)
-			b.event(obs.EventReject,
-				slog.Int64("job", req.ID),
-				slog.String("reason", "all sites unreachable"),
-				slog.Int("attempt", attempt))
 			return MultiAllocation{}, fmt.Errorf("grid: co-allocation impossible: %w", err)
 		}
 		lastErr = err
 		start = start.Add(b.cfg.DeltaT)
-		if attempt < b.cfg.MaxAttempts {
-			b.event(obs.EventRetry,
-				slog.Int64("job", req.ID),
-				slog.Int("attempt", attempt+1),
-				slog.Int64("start", int64(start)))
-		}
 	}
 	b.mu.Lock()
 	b.stats.Rejected++
@@ -746,10 +695,6 @@ func (b *Broker) CoAllocate(now period.Time, req Request) (MultiAllocation, erro
 		b.m.rejected.Inc()
 	}
 	root.Fail(fmt.Errorf("%w after %d attempts", ErrNoCapacity, b.cfg.MaxAttempts))
-	b.event(obs.EventReject,
-		slog.Int64("job", req.ID),
-		slog.String("reason", "no window with sufficient capacity"),
-		slog.Int("attempts", b.cfg.MaxAttempts))
 	return MultiAllocation{}, fmt.Errorf("%w (last: %v)", ErrNoCapacity, lastErr)
 }
 
@@ -889,12 +834,7 @@ func (b *Broker) cachedProbe(c Conn, tc obs.SpanContext, now, start, end period.
 	}
 	r, err = c.ProbeTraced(tc, now, start, end)
 	if err == nil {
-		if dropped := pc.observe(site, r.Epoch); dropped > 0 {
-			b.event(obs.EventCacheInvalidate,
-				slog.String("site", site),
-				slog.String("cause", "epoch"),
-				slog.Int("entries", dropped))
-		}
+		pc.observe(site, r.Epoch)
 		pc.store(site, kindProbe, start, end, r.Epoch, r.SiteNow, r, nil, fl.gen)
 	}
 	fl.probe, fl.err = r, err
@@ -922,12 +862,7 @@ func (b *Broker) cachedRange(c Conn, now, start, end period.Time) (feasible []pe
 	}
 	rr, err := c.RangeView(now, start, end)
 	if err == nil {
-		if dropped := pc.observe(site, rr.Epoch); dropped > 0 {
-			b.event(obs.EventCacheInvalidate,
-				slog.String("site", site),
-				slog.String("cause", "epoch"),
-				slog.Int("entries", dropped))
-		}
+		pc.observe(site, rr.Epoch)
 		pc.store(site, kindRange, start, end, rr.Epoch, rr.SiteNow, ProbeResult{}, rr.Feasible, fl.gen)
 	}
 	fl.feasible, fl.err = rr.Feasible, err
@@ -944,11 +879,7 @@ func (b *Broker) invalidateSiteCache(c Conn) {
 	if b.cache == nil {
 		return
 	}
-	if b.cache.invalidate(c.Name()) {
-		b.event(obs.EventCacheInvalidate,
-			slog.String("site", c.Name()),
-			slog.String("cause", "2pc"))
-	}
+	b.cache.invalidate(c.Name())
 }
 
 // CacheStats returns the availability cache's counters; all zeros when the
@@ -1043,10 +974,6 @@ func (b *Broker) tryWindow(sp *obs.ActiveSpan, now, start, end period.Time, tota
 				if b.m != nil {
 					b.m.conflicts.Inc()
 				}
-				b.event(obs.EventConflict,
-					slog.String("hold", holdID),
-					slog.String("site", sh.Conn.Name()),
-					slog.Uint64("epoch", conflict.Epoch))
 				if conflictBudget > 0 {
 					if next, ok := b.conflictResplit(sp, now, start, end, sh, total-grantedServers, availByName, probedEpochs); ok {
 						conflictBudget--
@@ -1093,7 +1020,6 @@ func (b *Broker) tryWindow(sp *obs.ActiveSpan, now, start, end period.Time, tota
 				b.invalidateSiteCache(p)
 				if aerr == nil {
 					aborted++
-					b.event(obs.EventAbort, slog.String("hold", holdID), slog.String("site", p.Name()))
 				}
 			}
 			b.mu.Lock()
@@ -1108,10 +1034,6 @@ func (b *Broker) tryWindow(sp *obs.ActiveSpan, now, start, end period.Time, tota
 		prepared = append(prepared, sh.Conn)
 		granted = append(granted, GrantedShare{Site: sh.Conn.Name(), Servers: servers})
 		grantedServers += len(servers)
-		b.event(obs.EventPrepare,
-			slog.String("hold", holdID),
-			slog.String("site", sh.Conn.Name()),
-			slog.Int("servers", len(servers)))
 	}
 
 	// Phase 2: commit everywhere, retrying transient failures. Clamp the
@@ -1161,7 +1083,6 @@ func (b *Broker) tryWindow(sp *obs.ActiveSpan, now, start, end period.Time, tota
 		b.siteOK(c)
 		committed = append(committed, c.Name())
 		committedConns = append(committedConns, c)
-		b.event(obs.EventCommit, slog.String("hold", holdID), slog.String("site", c.Name()))
 	}
 	if len(failed) > 0 {
 		// Compensate the sites that did commit: without these aborts their
@@ -1180,7 +1101,6 @@ func (b *Broker) tryWindow(sp *obs.ActiveSpan, now, start, end period.Time, tota
 			as.End()
 			if err == nil {
 				aborted = append(aborted, c.Name())
-				b.event(obs.EventAbort, slog.String("hold", holdID), slog.String("site", c.Name()))
 			}
 			b.invalidateSiteCache(c)
 		}
@@ -1368,7 +1288,6 @@ func (b *Broker) Release(now period.Time, alloc MultiAllocation) error {
 			continue
 		}
 		b.siteOK(c)
-		b.event(obs.EventAbort, slog.String("hold", alloc.HoldID), slog.String("site", sh.Site), slog.Bool("release", true))
 	}
 	root.Fail(firstErr)
 	return firstErr

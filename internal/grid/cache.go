@@ -203,7 +203,7 @@ func sameIncarnation(salt, epoch uint64) bool {
 // or a straggler from a deposed incarnation — is recorded as reordered and
 // changes nothing: adopting it would regress sc.epoch and let subsequent
 // stores cache answers computed under retired state. It returns how many
-// entries were dropped so the caller can emit a trace event.
+// entries were dropped.
 func (pc *probeCache) observe(site string, epoch uint64) int {
 	if epoch == 0 {
 		return 0 // epoch-less site: nothing was cached, nothing to retire

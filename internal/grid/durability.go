@@ -5,11 +5,9 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"log/slog"
 
 	"coalloc/internal/core"
 	"coalloc/internal/job"
-	"coalloc/internal/obs"
 	"coalloc/internal/period"
 )
 
@@ -210,7 +208,6 @@ func (s *Site) Checkpoint() error {
 		s.walErr = err
 		return fmt.Errorf("grid %s: checkpoint: %w", s.name, err)
 	}
-	s.event(obs.EventCheckpoint, slog.Int("bytes", buf.Len()))
 	return nil
 }
 

@@ -88,8 +88,7 @@ func (h *siteHealth) allow(now time.Time) bool {
 }
 
 // success records a successful interaction. It reports whether the circuit
-// closed as a result (it was open or half-open before), so the broker can
-// emit a recovery event exactly once.
+// closed as a result (it was open or half-open before).
 func (h *siteHealth) success() (recovered bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()

@@ -3,12 +3,10 @@ package grid
 import (
 	"fmt"
 	"io"
-	"log/slog"
 	"time"
 
 	"coalloc/internal/calendar"
 	"coalloc/internal/core"
-	"coalloc/internal/dtree"
 	"coalloc/internal/obs"
 	"coalloc/internal/period"
 )
@@ -169,47 +167,34 @@ func (s *Site) Status() SiteStatus {
 	}
 }
 
-// Instrument installs telemetry on the site: the scheduler gains a
-// core.TracingObserver and calendar/tree timing histograms, the site's 2PC
-// counters and pending-hold gauge are exported through reg, and prepare/
-// commit/abort/expire decisions are emitted as tracer events. Either
-// argument may be nil to skip that sink. Call before serving traffic.
-func (s *Site) Instrument(reg *obs.Registry, tr obs.Tracer) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.tracer = tr
-	if tr != nil || reg != nil {
-		s.sched.SetObserver(core.NewTracingObserver(reg, tr))
-	}
-	if reg == nil {
-		return
-	}
-	s.sched.SetTimings(
-		&calendar.Timings{
-			Search: reg.Histogram("calendar.search.latency"),
-			Update: reg.Histogram("calendar.update.latency"),
-			Rotate: reg.Histogram("calendar.rotate.latency"),
-		},
-		&dtree.Timings{
-			Search:  reg.Histogram("dtree.search.latency"),
-			Update:  reg.Histogram("dtree.update.latency"),
-			Rebuild: reg.Histogram("dtree.rebuild.latency"),
-		},
-	)
-	reg.Help("calendar.search.latency", "two-phase and range search wall time")
-	reg.Help("calendar.update.latency", "allocate/release maintenance wall time")
-	reg.Help("calendar.rotate.latency", "slot expiry and horizon extension wall time")
+// Instrument exports the site's counters through reg: the 2PC counters and
+// pending-hold gauge under "site.", and the embedded scheduler's lifetime
+// statistics (the same numbers as Status().Sched) under "sched.". Every
+// metric is a callback read at scrape time from the site's current state,
+// so the numbers follow a scheduler swapped in by ResetFromSnapshot and the
+// counters a WAL replay reinstates.
+func (s *Site) Instrument(reg *obs.Registry) {
 	reg.Func("site.pending_holds", func() float64 { return float64(s.PendingHolds()) })
 	reg.Func("site.prepared", func() float64 { p, _, _, _ := s.Stats(); return float64(p) })
 	reg.Func("site.committed", func() float64 { _, c, _, _ := s.Stats(); return float64(c) })
 	reg.Func("site.aborted", func() float64 { _, _, a, _ := s.Stats(); return float64(a) })
 	reg.Func("site.expired", func() float64 { _, _, _, e := s.Stats(); return float64(e) })
 	reg.Help("site.pending_holds", "prepared holds awaiting a 2PC decision")
+	reg.Func("sched.submitted", func() float64 { return float64(s.schedStats().Submitted) })
+	reg.Func("sched.accepted", func() float64 { return float64(s.schedStats().Accepted) })
+	reg.Func("sched.rejected", func() float64 { return float64(s.schedStats().Rejected) })
+	reg.Func("sched.attempts", func() float64 { return float64(s.schedStats().TotalAttempts) })
+	reg.Func("sched.releases", func() float64 { return float64(s.schedStats().Releases) })
+	reg.Help("sched.submitted", "requests entering Submit")
+	reg.Help("sched.accepted", "requests granted an allocation")
+	reg.Help("sched.rejected", "requests finally rejected")
+	reg.Help("sched.attempts", "scheduling attempts over all requests")
+	reg.Help("sched.releases", "early releases")
 }
 
-// event emits a tracer event if a tracer is installed; callers hold s.mu.
-func (s *Site) event(name string, attrs ...slog.Attr) {
-	if s.tracer != nil {
-		s.tracer.Event(name, attrs...)
-	}
+// schedStats reads the embedded scheduler's statistics under the site lock.
+func (s *Site) schedStats() core.Stats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.sched.Stats()
 }

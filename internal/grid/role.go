@@ -3,9 +3,6 @@ package grid
 import (
 	"errors"
 	"fmt"
-	"log/slog"
-
-	"coalloc/internal/obs"
 )
 
 // Replica roles. A site serves in one of two roles: primary (the default —
@@ -107,7 +104,6 @@ func (s *Site) Promote() (uint64, error) {
 	s.epochSalt = newEpochSalt()
 	s.publishLocked()
 	epoch := s.epochSalt + s.sched.MutationEpoch()
-	s.event(obs.EventPromote, slog.Uint64("epoch", epoch))
 	return epoch, nil
 }
 
@@ -123,7 +119,6 @@ func (s *Site) Fence(cause string) {
 	}
 	s.fencedFlag.Store(true)
 	s.fenceCause = cause
-	s.event(obs.EventFenced, slog.String("cause", cause))
 }
 
 // Fenced reports whether the site was fenced, and why.

@@ -112,7 +112,6 @@ type Site struct {
 	// committed hold would be an unknown-hold no-op and the capacity would
 	// stay allocated for the full job duration.
 	committedHolds map[string]Hold
-	tracer         obs.Tracer // optional; see Instrument
 
 	// recorder is the site's flight recorder; see SetRecorder. Requests
 	// arriving with trace context (Conn's tc, wire trace fields) record
@@ -408,7 +407,6 @@ func (s *Site) advanceLocked(now period.Time) {
 			// The broker never decided: release the lease.
 			if err := s.sched.Release(h.Alloc, h.Alloc.Start); err == nil {
 				s.expired++
-				s.event(obs.EventExpire, slog.String("hold", id), slog.Int64("expired", int64(h.Expires)))
 			}
 			delete(s.holds, id)
 			if err := s.stageOpLocked(Op{Kind: OpExpire, Now: now, HoldID: id}); err != nil {
@@ -609,11 +607,6 @@ func (s *Site) PrepareConflictTraced(tc obs.SpanContext, now period.Time, holdID
 		if err := s.stageOpLocked(Op{Kind: OpPrepare, Now: now, HoldID: holdID, Alloc: alloc, Expires: hold.Expires}); err != nil {
 			return err
 		}
-		s.event(obs.EventPrepare,
-			slog.String("hold", holdID),
-			slog.Int("servers", servers),
-			slog.Int64("start", int64(start)),
-			slog.Int64("expires", int64(now.Add(lease))))
 		granted = alloc.Servers
 		return nil
 	})
@@ -668,7 +661,6 @@ func (s *Site) CommitTraced(tc obs.SpanContext, now period.Time, holdID string) 
 		if err := s.stageOpLocked(Op{Kind: OpCommit, Now: now, HoldID: holdID}); err != nil {
 			return err
 		}
-		s.event(obs.EventCommit, slog.String("hold", holdID))
 		return nil
 	})
 	sp.Fail(err)
@@ -716,7 +708,7 @@ func (s *Site) AbortTraced(tc obs.SpanContext, now period.Time, holdID string) e
 			if releaseErr != nil {
 				return fmt.Errorf("grid %s: abort release: %v", s.name, releaseErr)
 			}
-			s.event(obs.EventAbort, slog.String("hold", holdID), slog.Bool("compensating", true))
+			sp.Annotate(slog.Bool("compensating", true))
 			return nil
 		}
 		delete(s.holds, holdID)
@@ -732,7 +724,6 @@ func (s *Site) AbortTraced(tc obs.SpanContext, now period.Time, holdID string) e
 		if releaseErr != nil {
 			return fmt.Errorf("grid %s: abort release: %v", s.name, releaseErr)
 		}
-		s.event(obs.EventAbort, slog.String("hold", holdID))
 		return nil
 	})
 	sp.Fail(err)

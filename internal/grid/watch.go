@@ -20,7 +20,6 @@ package grid
 // re-baselining the stream.
 
 import (
-	"log/slog"
 	"time"
 
 	"coalloc/internal/obs"
@@ -77,7 +76,7 @@ func (b *Broker) runWatch(c Conn) {
 		if err != nil {
 			if !broken {
 				broken = true
-				b.watchGap(site, err)
+				b.cache.gap(site)
 			}
 			// Re-subscribe with bounded backoff, abandoning promptly on Close.
 			if backoff < 50*time.Millisecond {
@@ -100,23 +99,8 @@ func (b *Broker) runWatch(c Conn) {
 			continue // idle poll expiry: the stream is alive, nothing moved
 		}
 		last = ev
-		if dropped := b.cache.observeEvent(site, ev.Epoch, ev.Salt); dropped > 0 {
-			b.event(obs.EventCacheInvalidate,
-				slog.String("site", site),
-				slog.String("cause", "watch"),
-				slog.Int("entries", dropped))
-		}
+		b.cache.observeEvent(site, ev.Epoch, ev.Salt)
 	}
-}
-
-// watchGap records one stream gap: conservative site-wide drop, generation
-// bump, and the trace event operators grep for.
-func (b *Broker) watchGap(site string, cause error) {
-	b.cache.gap(site)
-	b.event(obs.EventCacheInvalidate,
-		slog.String("site", site),
-		slog.String("cause", "watch_gap"),
-		slog.String("err", cause.Error()))
 }
 
 // maxPrefetchWindows bounds one batched ladder probe; the server enforces
@@ -163,12 +147,7 @@ func (b *Broker) prefetchLadder(_ *obs.ActiveSpan, now, start period.Time, dur p
 			return
 		}
 		for j, r := range results {
-			if dropped := pc.observe(site, r.Epoch); dropped > 0 {
-				b.event(obs.EventCacheInvalidate,
-					slog.String("site", site),
-					slog.String("cause", "epoch"),
-					slog.Int("entries", dropped))
-			}
+			pc.observe(site, r.Epoch)
 			pc.store(site, kindProbe, wins[j].Start, wins[j].End, r.Epoch, r.SiteNow, r, nil, gen)
 		}
 	})

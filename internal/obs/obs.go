@@ -1,15 +1,17 @@
 // Package obs is the system's zero-dependency telemetry layer: atomic
 // counters and gauges, windowed latency histograms with quantile estimates,
 // a named registry that renders itself in expvar-style JSON or Prometheus
-// text exposition format, and a Tracer interface for structured per-request
-// event streams backed by log/slog.
+// text exposition format, and spans recorded into an always-on flight
+// recorder (span.go, recorder.go).
 //
 // Everything here is stdlib-only and safe for concurrent use. The package
 // deliberately knows nothing about schedulers or brokers: the instrumented
-// packages (internal/calendar, internal/core, internal/grid, internal/wire)
+// packages (internal/grid, internal/wire, internal/wal, internal/replica)
 // define *what* to measure and obs defines *how* measurements are stored
-// and exposed. When no observer is configured the instrumented hot paths
-// reduce to a nil check, so telemetry costs nothing unless asked for.
+// and exposed. The paper's data structures (internal/calendar,
+// internal/dtree, internal/core) do not import obs: their work is counted
+// in elementary operations and scheduler statistics, which internal/grid
+// reads at scrape time (Site.Status and the sched.* metrics).
 package obs
 
 import (
